@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
       },
       bench::runner_options(args, grid));
 
-  obs::Tracer tracer;
+  obs::Tracer tracer(bench::telemetry_sink());
   if (tracing) {
     for (const exp::SweepSpec::Task& task : grid.tasks()) {
       tracer.name_lane(obs::Domain::kSim,
@@ -301,7 +301,6 @@ int main(int argc, char** argv) {
                  nullptr, &metrics);
   }
   bench::maybe_export_obs(args, "ablation_faults", &tracer, &metrics);
-  bench::telemetry_finish(args, tracing ? &tracer : nullptr, &metrics);
   std::cerr << "[exp] "
             << grid_run.rows.size() + unc_run.rows.size() +
                    surv_run.rows.size()

@@ -19,15 +19,13 @@ int main(int argc, char** argv) {
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv);
   DataCenterConfig config = bench::bench_config(args);
-  const bool tracing = !args.get_string("trace", "").empty();
+  bench::telemetry_setup(args, "ablation_zonal");
+  const bool tracing = bench::tracing_enabled(args);
 
   // Per-scenario counter lanes: each zonal run records its per-zone
   // channels into its own recorder, exported as one named lane so Perfetto
   // shows every zone's breaker margin / degree / UPS state side by side.
-  bench::StreamTraceSinks stream =
-      bench::maybe_stream_sinks(args, "ablation_zonal");
-  obs::Tracer tracer =
-      stream.active() ? obs::Tracer(stream.sink()) : obs::Tracer();
+  obs::Tracer tracer(bench::telemetry_sink());
   std::uint32_t next_lane = 0;
   const auto export_zonal = [&](const sim::Recorder& recorder,
                                 std::size_t zones, const std::string& label) {
@@ -92,6 +90,6 @@ int main(int argc, char** argv) {
                " the heavy zone's excess\nis granted; no breaker trips even"
                " at zero headroom.\n";
   bench::maybe_export_obs(args, "ablation_zonal", tracing ? &tracer : nullptr,
-                          nullptr, &stream);
+                          nullptr);
   return 0;
 }

@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,10 +24,8 @@
 #include "exp/sweep.h"
 #include "obs/counters.h"
 #include "obs/metrics.h"
-#include "obs/perfetto.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
-#include "obs/sink.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/config.h"
@@ -37,14 +36,14 @@ namespace dcs::bench {
 /// Keys every bench understands: the shared data-center knobs plus the
 /// sweep-runner knobs (threads=<n>, csv=<dir>, perf=<dir>, checkpoint=<dir>
 /// for crash-safe resume files, shard=<i>/<N> to run one contiguous slice
-/// of every grid) and the observability knobs (trace=<dir> for Chrome
-/// trace JSON + JSONL, sink=buffer|stream to pick the in-memory Tracer or
-/// the bounded-memory streaming sinks, metrics=<dir> for CSV/JSON/
-/// Prometheus snapshots, telemetry=<path> for the worker telemetry stream
-/// a supervising dispatcher tails and merges — see obs/telemetry.h).
+/// of every grid) and the observability knobs (trace=<dir> streams the
+/// trace to <dir>/<name>_trace.jsonl, telemetry=<path> streams it to
+/// <path> — the one telemetry-schema stream of obs/telemetry.h either way,
+/// so the two are mutually exclusive; metrics=<dir> for CSV/JSON/
+/// Prometheus snapshots).
 inline constexpr std::string_view kCommonKeys[] = {
     "pdus", "dc_headroom", "pue", "csv", "perf", "threads", "trace",
-    "metrics", "sink", "checkpoint", "shard", "telemetry", "decisions"};
+    "metrics", "checkpoint", "shard", "telemetry", "decisions"};
 
 /// Default recorder channels bridged into Perfetto counter tracks by the
 /// traced benches: physical state (state of charge, breaker trip margin,
@@ -65,6 +64,13 @@ inline Config parse_args(int argc, char** argv,
                                           std::end(kCommonKeys));
     allowed.insert(allowed.end(), extra_allowed.begin(), extra_allowed.end());
     args.require_known(allowed);
+    // Both name the one trace stream; under dispatch_sweep a shared
+    // trace=<dir> would also make every shard overwrite the same file.
+    if (!args.get_string("trace", "").empty() &&
+        !args.get_string("telemetry", "").empty()) {
+      throw std::invalid_argument(
+          "trace= and telemetry= name the same trace stream; give one");
+    }
     return args;
   } catch (const std::exception& e) {
     std::cerr << argv[0] << ": error: " << e.what()
@@ -80,18 +86,23 @@ inline std::unique_ptr<obs::TelemetrySink>& telemetry_slot() {
 }
 }  // namespace detail
 
-/// The process-global telemetry stream, or null when telemetry= was not
-/// given (telemetry_setup not called / no-op).
+/// The process's trace stream, or null when neither trace= nor telemetry=
+/// was given (telemetry_setup not called / no-op).
 inline obs::TelemetrySink* telemetry_sink() {
   return detail::telemetry_slot().get();
 }
 
-/// Opens the worker telemetry stream under telemetry=<path> (appended by
-/// dispatch_sweep --telemetry) and turns the wall-clock profiler on so the
-/// stream carries wall spans for the cross-process timeline. Call once
-/// near the top of main(), right after obs_setup.
+/// Opens the process's one trace stream: `<dir>/<name>_trace.jsonl` under
+/// trace=<dir>, or `<path>` under telemetry=<path> (appended by
+/// dispatch_sweep --telemetry). Every traced bench hands this sink to its
+/// Tracer, so events stream to disk with bounded memory. Turns the
+/// wall-clock profiler on so the stream carries wall spans. Exits 2 when
+/// the stream cannot be opened. Call once near the top of main(), right
+/// after obs_setup.
 inline void telemetry_setup(const Config& args, const std::string& name) {
-  const std::string path = args.get_string("telemetry", "");
+  std::string path = args.get_string("telemetry", "");
+  const std::string trace_dir = args.get_string("trace", "");
+  if (!trace_dir.empty()) path = trace_dir + "/" + name + "_trace.jsonl";
   if (path.empty()) return;
   obs::TelemetryOptions options;
   options.name = name;
@@ -99,13 +110,14 @@ inline void telemetry_setup(const Config& args, const std::string& name) {
   detail::telemetry_slot() =
       std::make_unique<obs::TelemetrySink>(path, options);
   if (!telemetry_sink()->ok()) {
-    std::cerr << "[obs] cannot write telemetry stream " << path << "\n";
+    std::cerr << "error: cannot write trace stream " << path << "\n";
+    std::exit(2);
   }
   obs::Profiler::instance().set_enabled(true);
 }
 
-/// Whether this run should record sim trace events: a trace= export wants
-/// them, and so does a telemetry stream (they are its "ev" payload).
+/// Whether this run records sim trace events: trace= or telemetry= opened a
+/// trace stream for them (they are its "ev" payload).
 inline bool tracing_enabled(const Config& args) {
   return !args.get_string("trace", "").empty() ||
          !args.get_string("telemetry", "").empty();
@@ -149,8 +161,8 @@ inline exp::Shard parse_shard(const std::string& text) {
 /// Worker-mode drain contract (dispatcher-initiated kills, Ctrl-C on a
 /// checkpointed run). SIGTERM/SIGINT set `shutdown_requested`; the sweep
 /// runner stops picking up new tasks and finishes (and checkpoints) the
-/// in-flight ones, the bench's normal tail then finalizes stream trace
-/// sinks, and `drain_exit_if_requested` — the last line of every sweep
+/// in-flight ones, the bench's normal tail then seals the trace stream,
+/// and `drain_exit_if_requested` — the last line of every sweep
 /// bench — exits 128+signal so a supervisor can never mistake the partial
 /// run for a complete shard. A second signal exits immediately.
 inline std::atomic<bool>& shutdown_requested() {
@@ -165,9 +177,9 @@ inline std::atomic<int>& shutdown_signal() {
 
 namespace detail {
 inline void drain_signal_handler(int sig) {
-  // Async-signal-safe: lock-free atomic stores only. The actual flushing
-  // already happened — checkpoint rows and JSONL trace lines are flushed as
-  // written, and the Chrome stream sink keeps its file complete per batch.
+  // Async-signal-safe: lock-free atomic stores only. Nothing needs flushing
+  // here — checkpoint rows are flushed as written, and the trace stream is
+  // line-oriented JSONL, valid up to its last complete line.
   if (shutdown_requested().exchange(true)) ::_exit(128 + sig);
   shutdown_signal().store(sig);
 }
@@ -295,121 +307,36 @@ inline void obs_setup(const Config& args) {
   }
 }
 
-/// Streaming trace sinks for one bench (sink=stream under trace=<dir>):
-/// the merged event stream tees into `<dir>/<name>_trace.json` (Chrome,
-/// crash-safe), `<dir>/<name>_trace.jsonl` and the Perfetto protobuf
-/// stream `<dir>/<name>_trace.perfetto` (trace_processor-queryable) with
-/// bounded memory; an open telemetry stream joins the tee so its events
-/// flow live. Default (sink=buffer) keeps the in-memory Tracer path.
-struct StreamTraceSinks {
-  std::unique_ptr<obs::ChromeStreamSink> chrome;
-  std::unique_ptr<obs::JsonlStreamSink> jsonl;
-  std::unique_ptr<obs::PerfettoStreamSink> perfetto;
-  std::unique_ptr<obs::TeeSink> tee;
-
-  [[nodiscard]] bool active() const noexcept { return tee != nullptr; }
-  [[nodiscard]] obs::TraceSink* sink() const noexcept { return tee.get(); }
-
-  void finalize(std::ostream* diag = nullptr) {
-    if (!active()) return;
-    tee->finalize();
-    if (diag != nullptr) {
-      for (const obs::FileStreamSink* s :
-           {static_cast<const obs::FileStreamSink*>(chrome.get()),
-            static_cast<const obs::FileStreamSink*>(jsonl.get()),
-            static_cast<const obs::FileStreamSink*>(perfetto.get())}) {
-        if (s->ok()) {
-          *diag << "[obs] streamed " << s->events_written() << " events to "
-                << s->path() << "\n";
-        } else {
-          *diag << "[obs] cannot write " << s->path() << "\n";
-        }
-      }
-    }
-  }
-};
-
-/// Builds the streaming sinks when trace=<dir> and sink=stream are both
-/// given; inactive (null members) otherwise. Rejects unknown sink= values.
-inline StreamTraceSinks maybe_stream_sinks(const Config& args,
-                                           const std::string& name) {
-  StreamTraceSinks sinks;
-  const std::string mode = args.get_string("sink", "buffer");
-  if (mode != "buffer" && mode != "stream") {
-    std::cerr << "error: sink must be 'buffer' or 'stream', got '" << mode
-              << "'\n";
-    std::exit(2);
-  }
-  const std::string trace_dir = args.get_string("trace", "");
-  if (mode != "stream" || trace_dir.empty()) return sinks;
-  sinks.chrome = std::make_unique<obs::ChromeStreamSink>(
-      trace_dir + "/" + name + "_trace.json");
-  sinks.jsonl = std::make_unique<obs::JsonlStreamSink>(
-      trace_dir + "/" + name + "_trace.jsonl");
-  sinks.perfetto = std::make_unique<obs::PerfettoStreamSink>(
-      trace_dir + "/" + name + "_trace.perfetto");
-  std::vector<obs::TraceSink*> children{sinks.chrome.get(), sinks.jsonl.get(),
-                                        sinks.perfetto.get()};
-  if (obs::TelemetrySink* telemetry = telemetry_sink();
-      telemetry != nullptr) {
-    children.push_back(telemetry);  // finalize() only flushes it
-  }
-  sinks.tee = std::make_unique<obs::TeeSink>(std::move(children));
-  return sinks;
-}
-
-/// Observability export glue: under trace=<dir>, folds the profiler's
-/// wall-clock scopes into `tracer` and writes `<name>_trace.json` (Chrome
-/// trace-event format, Perfetto-loadable) plus `<name>_trace.jsonl`; under
-/// metrics=<dir>, writes `<name>_metrics.{csv,json,prom}`. Null arguments
-/// skip the matching export. For a streaming Tracer (attached sink) the
-/// wall spans are forwarded to the sink and `stream` is finalized instead
-/// of rewriting the files from memory.
+/// Observability tail: under metrics=<dir>, writes
+/// `<name>_metrics.{csv,json,prom}`; then seals the trace stream — folds
+/// the profiler's wall-clock scopes into `tracer` (which forwards them to
+/// the stream), appends the metric snapshot, the sampler's folded stacks
+/// and the end marker. Null arguments skip their part. Exits 1 when the
+/// stream failed mid-run (e.g. disk full): a truncated trace must not read
+/// as success.
 inline void maybe_export_obs(const Config& args, const std::string& name,
                              obs::Tracer* tracer,
-                             const obs::MetricsRegistry* metrics,
-                             StreamTraceSinks* stream = nullptr) {
-  const std::string trace_dir = args.get_string("trace", "");
-  if (!trace_dir.empty() && tracer != nullptr) {
-    obs::export_to(*tracer, obs::Profiler::instance().collect());
-    if (tracer->sink() != nullptr) {
-      if (stream != nullptr) stream->finalize(&std::cout);
-    } else {
-      obs::export_trace(trace_dir, name, *tracer, &std::cout);
-    }
-  }
+                             const obs::MetricsRegistry* metrics) {
   const std::string metrics_dir = args.get_string("metrics", "");
   if (!metrics_dir.empty() && metrics != nullptr) {
     obs::export_metrics(metrics_dir, name, *metrics, &std::cout);
   }
-}
-
-/// Seals the worker's telemetry stream; call after maybe_export_obs, as
-/// the bench's last observability step. For a buffered tracer, replays its
-/// lane names and events into the stream (a streaming tracer already teed
-/// them live); folds in wall spans that no trace= export collected, then
-/// appends the metric snapshot, the sampler's folded stacks and the end
-/// marker. No-op without telemetry=.
-inline void telemetry_finish(const Config& args, obs::Tracer* tracer = nullptr,
-                             const obs::MetricsRegistry* metrics = nullptr) {
-  obs::TelemetrySink* telemetry = telemetry_sink();
-  if (telemetry == nullptr) return;
-  if (tracer != nullptr && tracer->sink() == nullptr) {
-    if (args.get_string("trace", "").empty()) {
-      // telemetry= without trace=: nothing collected the profiler yet.
-      obs::export_to(*tracer, obs::Profiler::instance().collect());
-    }
-    for (const auto& [key, name] : tracer->lane_names()) {
-      telemetry->write_lane_name(key.first, key.second, name);
-    }
-    for (const obs::TraceEvent& event : tracer->events()) {
-      telemetry->write(event);
-    }
+  obs::TelemetrySink* stream = telemetry_sink();
+  if (stream == nullptr) return;
+  if (tracer != nullptr) {
+    obs::export_to(*tracer, obs::Profiler::instance().collect());
   }
-  if (metrics != nullptr) telemetry->write_metrics(*metrics);
+  if (metrics != nullptr) stream->write_metrics(*metrics);
   const obs::FoldedStacks folded = obs::Sampler::instance().folded();
-  if (!folded.empty()) telemetry->write_stacks(folded);
-  telemetry->close();
+  if (!folded.empty()) stream->write_stacks(folded);
+  stream->close();
+  if (!stream->ok()) {
+    std::cerr << "error: cannot write trace stream " << stream->path()
+              << "\n";
+    std::exit(1);
+  }
+  std::cout << "[obs] streamed " << stream->events_written()
+            << " events to " << stream->path() << "\n";
 }
 
 }  // namespace dcs::bench

@@ -9,8 +9,8 @@
 // Observability: under trace=<dir> each grid task traces its Prediction run
 // (phase-transition instants plus recorder counter tracks: state of charge,
 // breaker trip margin, room temperature, degree, chiller draw) into its own
-// lane; sink=stream sends the merged stream through the bounded-memory
-// crash-safe file sinks. faults=1 injects a canonical mid-burst fault pair
+// lane, and the merged stream goes to <dir>/fig09_strategies_trace.jsonl
+// (telemetry=<path> names the stream directly). faults=1 injects a canonical mid-burst fault pair
 // (UPS bank outage + degraded chiller) so the traced trajectories show the
 // degradation ladder at work.
 #include <iostream>
@@ -136,10 +136,7 @@ int main(int argc, char** argv) {
       },
       bench::runner_options(args, spec));
 
-  bench::StreamTraceSinks stream =
-      bench::maybe_stream_sinks(args, "fig09_strategies");
-  obs::Tracer tracer =
-      stream.active() ? obs::Tracer(stream.sink()) : obs::Tracer();
+  obs::Tracer tracer(bench::telemetry_sink());
   if (tracing) {
     for (const exp::SweepSpec::Task& task : spec.tasks()) {
       tracer.name_lane(obs::Domain::kSim,
@@ -160,8 +157,7 @@ int main(int argc, char** argv) {
   const exp::SweepSummary summary = exp::aggregate(spec, run);
   bench::maybe_export_sweep(args, spec, run, summary);
   bench::maybe_export_obs(args, "fig09_strategies", tracing ? &tracer : nullptr,
-                          nullptr, &stream);
-  bench::telemetry_finish(args, tracing ? &tracer : nullptr);
+                          nullptr);
   std::cerr << "[exp] " << run.rows.size() << " tasks in "
             << format_double(run.wall_seconds, 2) << " s on "
             << run.threads_used << " thread(s)\n";

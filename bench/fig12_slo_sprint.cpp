@@ -20,7 +20,8 @@
 // Runs on the src/exp sweep runner: rows are bit-identical for any thread
 // count, and checkpoint=/shard= make it dispatchable (tools/dispatch_sweep).
 // Under trace=<dir> each task exports its recorder channels — including the
-// serving_p99_ms / serving_backlog tracks — as Perfetto counter lanes.
+// serving_p99_ms / serving_backlog tracks — as counter tracks in the trace
+// stream (Perfetto counter lanes after `trace_query export`).
 #include <iostream>
 #include <optional>
 #include <string>
@@ -238,10 +239,7 @@ int main(int argc, char** argv) {
 
   // Observability tail: merge the per-task lanes in task order (the
   // bit-identity contract) and export.
-  bench::StreamTraceSinks stream =
-      bench::maybe_stream_sinks(args, "fig12_slo_sprint");
-  obs::Tracer tracer =
-      stream.active() ? obs::Tracer(stream.sink()) : obs::Tracer();
+  obs::Tracer tracer(bench::telemetry_sink());
   obs::MetricsRegistry metrics;
   if (tracing) {
     for (const exp::SweepSpec::Task& task : budget_spec.tasks()) {
@@ -287,9 +285,7 @@ int main(int argc, char** argv) {
   bench::maybe_export_obs(args, "fig12_slo_sprint",
                           tracing ? &tracer : nullptr,
                           args.get_string("metrics", "").empty() ? nullptr
-                                                                 : &metrics,
-                          &stream);
-  bench::telemetry_finish(args, tracing ? &tracer : nullptr, &metrics);
+                                                                 : &metrics);
   std::cerr << "[exp] " << budget_run.rows.size() + admit_run.rows.size()
             << " tasks in "
             << format_double(budget_run.wall_seconds + admit_run.wall_seconds,

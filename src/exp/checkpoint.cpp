@@ -282,7 +282,7 @@ void CheckpointWriter::append(std::size_t index, std::uint64_t seed,
   const std::string line = row_line(index, seed, row);
   const std::lock_guard<std::mutex> lock(mu_);
   if (!ok_) return;
-  // Flush per line (the JSONL crash-safety discipline of obs/sink.h): the
+  // Flush per line (the JSONL crash-safety discipline of obs/telemetry.h): the
   // file is valid up to the last completed task no matter when we die, and
   // a failed write drops the writer to the failed state immediately.
   out_ << line << "\n";

@@ -14,7 +14,7 @@
 // round-trip bit-for-bit — including non-finite values — and a resumed or
 // merged run reproduces the exact bytes of an uninterrupted one.
 //
-// Crash safety follows the JSONL discipline of obs/sink.h: the file is
+// Crash safety follows the JSONL discipline of obs/telemetry.h: the file is
 // append-only and every line is flushed as soon as it is written, so it is
 // valid up to the last flushed line no matter when the process dies; a
 // torn trailing line (kill mid-append) is tolerated and simply re-run.
@@ -97,7 +97,7 @@ void write_checkpoint(std::ostream& out, const CheckpointData& data);
 /// append, emitting the header first when the file is new or empty.
 /// `append` is thread-safe (workers complete tasks concurrently) and
 /// flushes each line, dropping to `ok() == false` the moment the stream
-/// fails (disk full, unlinked directory) — mirroring obs::FileStreamSink.
+/// fails (disk full, unlinked directory) — mirroring obs::TelemetrySink.
 class CheckpointWriter {
  public:
   CheckpointWriter(const std::string& path, const SweepSpec& spec,

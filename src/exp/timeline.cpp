@@ -19,10 +19,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// One telemetry stream feeding the merge.
+/// One telemetry stream feeding the merge, with its parsed header.
 struct Source {
   std::string path;
-  /// "dispatcher", "shard0", "shard0#2" (restart attempts count from 1).
   std::string src;
   bool have_header = false;
   int pid = 0;
@@ -46,46 +45,6 @@ void read_header(Source* source) {
   } catch (const std::exception&) {
     // Headerless stream (killed before the first flush): merged unaligned.
   }
-}
-
-/// Dispatcher stream first, then each shard's attempts in attempt order —
-/// a deterministic ordering so re-merges are byte-identical.
-std::vector<Source> collect_sources(const TimelineOptions& options) {
-  std::vector<Source> sources;
-  std::error_code ec;
-  const std::string dispatcher =
-      options.work_dir + "/dispatcher_telemetry.jsonl";
-  if (fs::is_regular_file(dispatcher, ec)) {
-    Source dispatcher_source;
-    dispatcher_source.path = dispatcher;
-    dispatcher_source.src = "dispatcher";
-    sources.push_back(std::move(dispatcher_source));
-  }
-  for (std::size_t i = 0; i < options.shards; ++i) {
-    const std::string dir =
-        options.work_dir + "/shard_" + std::to_string(i);
-    std::vector<std::string> files;
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("telemetry_", 0) == 0 &&
-          name.size() > 16 &&
-          name.compare(name.size() - 6, 6, ".jsonl") == 0) {
-        files.push_back(entry.path().string());
-      }
-    }
-    // Attempt numbers are zero-padded (telemetry_0001.jsonl), so the
-    // lexical sort is attempt order.
-    std::sort(files.begin(), files.end());
-    for (std::size_t a = 0; a < files.size(); ++a) {
-      Source source;
-      source.path = files[a];
-      source.src = "shard" + std::to_string(i);
-      if (a > 0) source.src += "#" + std::to_string(a + 1);
-      sources.push_back(std::move(source));
-    }
-  }
-  for (Source& s : sources) read_header(&s);
-  return sources;
 }
 
 std::string render_args(const json::Value& args) {
@@ -114,15 +73,30 @@ std::string render_args(const json::Value& args) {
   return out;
 }
 
+/// Opens an output; an empty path leaves the stream closed. Writes to a
+/// closed stream are no-ops, which is how merge_streams skips an output.
+std::ofstream open_output(const std::string& path,
+                          std::ios::openmode mode = std::ios::trunc) {
+  std::ofstream out;
+  if (!path.empty()) out.open(path, mode);
+  return out;
+}
+
+/// A requested output is healthy while its stream is; a skipped one always.
+bool output_ok(const std::ofstream& out, const std::string& path) {
+  return path.empty() || static_cast<bool>(out);
+}
+
 /// Streaming Chrome trace-event document with per-source pids (the shared
-/// detail::write_event_json hardcodes the single-process pid scheme).
+/// detail::append_event_json hardcodes the single-process pid scheme).
 class ChromeDoc {
  public:
-  explicit ChromeDoc(const std::string& path) : out_(path, std::ios::trunc) {
+  explicit ChromeDoc(const std::string& path)
+      : path_(path), out_(open_output(path)) {
     out_ << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   }
 
-  [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
+  [[nodiscard]] bool ok() const { return output_ok(out_, path_); }
 
   std::ostream& element() {
     out_ << (first_ ? "  " : ",\n  ");
@@ -135,6 +109,7 @@ class ChromeDoc {
     out_.flush();
   }
 
+  std::string path_;
   std::ofstream out_;
 
  private:
@@ -149,21 +124,27 @@ constexpr std::uint64_t to_ns(double ts_us) {
 /// track bookkeeping.
 class Merger {
  public:
-  Merger(const std::string& out_dir, TimelineSummary* summary)
+  Merger(const TimelineOutputs& outputs, TimelineSummary* summary)
       : summary_(summary),
-        jsonl_(out_dir + "/timeline.jsonl", std::ios::trunc),
-        chrome_(out_dir + "/timeline_trace.json"),
-        perfetto_stream_(out_dir + "/timeline.perfetto",
-                         std::ios::trunc | std::ios::binary),
+        outputs_(outputs),
+        jsonl_(open_output(outputs.jsonl)),
+        chrome_(outputs.chrome),
+        perfetto_stream_(open_output(outputs.perfetto,
+                                     std::ios::trunc | std::ios::binary)),
         perfetto_(perfetto_stream_) {
-    summary->jsonl_path = out_dir + "/timeline.jsonl";
-    summary->chrome_path = out_dir + "/timeline_trace.json";
-    summary->perfetto_path = out_dir + "/timeline.perfetto";
+    summary->jsonl_path = outputs.jsonl;
+    summary->chrome_path = outputs.chrome;
+    summary->perfetto_path = outputs.perfetto;
   }
 
-  [[nodiscard]] bool ok() const {
-    return static_cast<bool>(jsonl_) && chrome_.ok() &&
-           static_cast<bool>(perfetto_stream_);
+  /// The first requested output whose stream failed; "" while all are ok.
+  [[nodiscard]] std::string failed_output() const {
+    if (!output_ok(jsonl_, outputs_.jsonl)) return outputs_.jsonl;
+    if (!chrome_.ok()) return outputs_.chrome;
+    if (!output_ok(perfetto_stream_, outputs_.perfetto)) {
+      return outputs_.perfetto;
+    }
+    return "";
   }
 
   void begin(std::size_t sources, std::int64_t base_epoch) {
@@ -221,11 +202,6 @@ class Merger {
     jsonl_.flush();
   }
 
-  [[nodiscard]] bool outputs_ok() const {
-    return static_cast<bool>(jsonl_) && chrome_.ok() &&
-           static_cast<bool>(perfetto_stream_);
-  }
-
  private:
   // Chrome pid per (source, domain): sources land at 10, 12, 14, ... (sim)
   // and 11, 13, 15, ... (wall) — disjoint from the single-process 1/2
@@ -235,14 +211,23 @@ class Merger {
            (domain == obs::Domain::kWall ? 1 : 0);
   }
 
+  /// "src/domain", or just the domain for an untagged single stream.
+  [[nodiscard]] std::string process_name(obs::Domain domain) const {
+    const std::string name(obs::to_string(domain));
+    return src_.empty() ? name : src_ + "/" + name;
+  }
+
+  /// A flow token scoped by src so per-source chains stay distinct.
+  [[nodiscard]] std::string scoped(const std::string& token) const {
+    return src_.empty() ? token : src_ + "/" + token;
+  }
+
   void ensure_chrome_process(obs::Domain domain) {
     const auto key = std::make_pair(sidx_, domain);
     if (!chrome_procs_.insert(std::make_pair(key, true)).second) return;
     chrome_.element() << "{\"ph\": \"M\", \"pid\": " << chrome_pid(domain)
                       << ", \"name\": \"process_name\", \"args\": {\"name\": "
-                      << obs::detail::render_string(
-                             src_ + "/" +
-                             std::string(obs::to_string(domain)))
+                      << obs::detail::render_string(process_name(domain))
                       << "}}";
   }
 
@@ -250,8 +235,8 @@ class Merger {
     const auto key = std::make_pair(sidx_, domain);
     const auto it = perfetto_procs_.find(key);
     if (it != perfetto_procs_.end()) return it->second;
-    const std::uint64_t uuid = perfetto_.add_process(
-        chrome_pid(domain), src_ + "/" + std::string(obs::to_string(domain)));
+    const std::uint64_t uuid =
+        perfetto_.add_process(chrome_pid(domain), process_name(domain));
     perfetto_procs_.emplace(key, uuid);
     return uuid;
   }
@@ -382,8 +367,8 @@ class Merger {
           for (const char* key : {"id", "cause"}) {
             const json::Value* token = args->find(key);
             if (token != nullptr && token->is_string()) {
-              flows.push_back(obs::detail::flow_id_hash(src_ + "/" +
-                                                        token->as_string()));
+              flows.push_back(
+                  obs::detail::flow_id_hash(scoped(token->as_string())));
             }
           }
         }
@@ -396,6 +381,7 @@ class Merger {
   }
 
   TimelineSummary* summary_;
+  TimelineOutputs outputs_;
   std::ofstream jsonl_;
   ChromeDoc chrome_;
   std::ofstream perfetto_stream_;
@@ -417,20 +403,53 @@ class Merger {
 
 }  // namespace
 
-TimelineSummary merge_timeline(const TimelineOptions& options) {
+std::vector<TimelineStream> dispatcher_streams(const std::string& work_dir,
+                                               std::size_t shards) {
+  std::vector<TimelineStream> streams;
+  std::error_code ec;
+  const std::string dispatcher = work_dir + "/dispatcher_telemetry.jsonl";
+  if (fs::is_regular_file(dispatcher, ec)) {
+    streams.push_back({dispatcher, "dispatcher"});
+  }
+  for (std::size_t i = 0; i < shards; ++i) {
+    const std::string dir = work_dir + "/shard_" + std::to_string(i);
+    std::vector<std::string> files;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("telemetry_", 0) == 0 &&
+          name.size() > 16 &&
+          name.compare(name.size() - 6, 6, ".jsonl") == 0) {
+        files.push_back(entry.path().string());
+      }
+    }
+    // Attempt numbers are zero-padded (telemetry_0001.jsonl), so the
+    // lexical sort is attempt order.
+    std::sort(files.begin(), files.end());
+    for (std::size_t a = 0; a < files.size(); ++a) {
+      std::string src = "shard" + std::to_string(i);
+      if (a > 0) src += "#" + std::to_string(a + 1);
+      streams.push_back({files[a], std::move(src)});
+    }
+  }
+  return streams;
+}
+
+TimelineSummary merge_streams(const std::vector<TimelineStream>& streams,
+                              const TimelineOutputs& outputs,
+                              std::ostream* log) {
   TimelineSummary summary;
-  if (options.work_dir.empty()) {
-    summary.error = "timeline: work_dir is required";
+  if (streams.empty()) {
+    summary.error = "timeline: no telemetry streams";
     return summary;
   }
-  const auto log = [&](const std::string& line) {
-    if (options.log != nullptr) *options.log << "[timeline] " << line << "\n";
-  };
-
-  const std::vector<Source> sources = collect_sources(options);
-  if (sources.empty()) {
-    summary.error = "timeline: no telemetry streams under " + options.work_dir;
-    return summary;
+  std::vector<Source> sources;
+  sources.reserve(streams.size());
+  for (const TimelineStream& stream : streams) {
+    Source source;
+    source.path = stream.path;
+    source.src = stream.src;
+    read_header(&source);
+    sources.push_back(std::move(source));
   }
   summary.sources = sources.size();
 
@@ -446,14 +465,9 @@ TimelineSummary merge_timeline(const TimelineOptions& options) {
   }
   summary.base_epoch_unix_us = base;
 
-  const std::string out_dir =
-      options.out_dir.empty() ? options.work_dir + "/merged" : options.out_dir;
-  std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);
-
-  Merger merger(out_dir, &summary);
-  if (!merger.ok()) {
-    summary.error = "timeline: cannot open outputs under " + out_dir;
+  Merger merger(outputs, &summary);
+  if (const std::string failed = merger.failed_output(); !failed.empty()) {
+    summary.error = "timeline: cannot open " + failed;
     return summary;
   }
   merger.begin(sources.size(), base);
@@ -464,29 +478,47 @@ TimelineSummary merge_timeline(const TimelineOptions& options) {
     while (std::getline(in, line)) merger.consume_line(line);
   }
   merger.finish();
-  if (!merger.outputs_ok()) {
-    summary.error = "timeline: output write failed under " + out_dir;
+  if (const std::string failed = merger.failed_output(); !failed.empty()) {
+    summary.error = "timeline: cannot write " + failed;
     return summary;
   }
 
   summary.stacks = merger.stacks().size();
-  if (!merger.stacks().empty()) {
-    const std::string stacks_path = out_dir + "/dispatch_stacks.folded";
-    std::ofstream stacks(stacks_path, std::ios::trunc);
+  if (!merger.stacks().empty() && !outputs.stacks.empty()) {
+    std::ofstream stacks(outputs.stacks, std::ios::trunc);
     obs::write_folded(stacks, merger.stacks());
     stacks.flush();
-    if (stacks) {
-      summary.stacks_path = stacks_path;
-    } else {
-      summary.error = "timeline: cannot write " + stacks_path;
+    if (!stacks) {
+      summary.error = "timeline: cannot write " + outputs.stacks;
       return summary;
     }
+    summary.stacks_path = outputs.stacks;
   }
-  log("merged " + std::to_string(summary.events) + " event(s) from " +
-      std::to_string(summary.sources) + " stream(s) (" +
-      std::to_string(summary.aligned_sources) + " aligned) -> " +
-      summary.jsonl_path);
+  if (log != nullptr) {
+    *log << "[timeline] merged " << summary.events << " event(s) from "
+         << summary.sources << " stream(s) (" << summary.aligned_sources
+         << " aligned)\n";
+  }
   return summary;
+}
+
+TimelineSummary merge_timeline(const TimelineOptions& options) {
+  if (options.work_dir.empty()) {
+    TimelineSummary summary;
+    summary.error = "timeline: work_dir is required";
+    return summary;
+  }
+  const std::string out_dir =
+      options.out_dir.empty() ? options.work_dir + "/merged" : options.out_dir;
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  TimelineOutputs outputs;
+  outputs.jsonl = out_dir + "/timeline.jsonl";
+  outputs.chrome = out_dir + "/timeline_trace.json";
+  outputs.perfetto = out_dir + "/timeline.perfetto";
+  outputs.stacks = out_dir + "/dispatch_stacks.folded";
+  return merge_streams(dispatcher_streams(options.work_dir, options.shards),
+                       outputs, options.log);
 }
 
 }  // namespace dcs::exp

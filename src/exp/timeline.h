@@ -1,7 +1,9 @@
-// Cross-process timeline merge: folds the dispatcher's own telemetry
-// stream and every shard worker's per-attempt telemetry stream
-// (obs/telemetry.h) into one timeline, aligned on a shared wall-clock
-// epoch.
+// Timeline merge: folds telemetry streams (obs/telemetry.h) into one
+// timeline, aligned on a shared wall-clock epoch. merge_timeline collects
+// the dispatcher's own stream and every shard worker's per-attempt stream
+// from a dispatch work dir; merge_streams is the core over explicit
+// streams, which `trace_query export` runs on a single bench stream to get
+// its Chrome JSON and Perfetto views.
 //
 // Alignment: each stream's header carries the producing process's
 // obs::Profiler::epoch_unix_us(). The merge picks the earliest epoch as
@@ -12,7 +14,7 @@
 // their simulated timestamps untouched (they share the simulation's own
 // time axis and are deterministic results, not wall observations).
 //
-// Outputs (under `<work_dir>/merged/`):
+// merge_timeline outputs (under `<work_dir>/merged/`):
 //   timeline.jsonl          "ev" lines tagged with `src` ("dispatcher",
 //                           "shard0", "shard0#2" for restart attempts) and
 //                           aligned timestamps, plus proc/lane metadata
@@ -33,6 +35,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 namespace dcs::exp {
 
@@ -66,6 +69,36 @@ struct TimelineSummary {
 
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
+
+/// One telemetry stream fed to the merge.
+struct TimelineStream {
+  std::string path;
+  /// Source tag: "dispatcher", "shard0", "shard0#2" (restart attempts count
+  /// from 1). "" for a single-process export, whose Chrome/Perfetto process
+  /// names then read plain "sim"/"wall".
+  std::string src;
+};
+
+/// Output files of merge_streams; an empty path skips that output.
+struct TimelineOutputs {
+  std::string jsonl;
+  std::string chrome;
+  std::string perfetto;
+  /// Written only when some stream carried sampler stacks.
+  std::string stacks;
+};
+
+/// The dispatcher layout's streams, in merge order: dispatcher first, then
+/// each shard's attempts in attempt order.
+[[nodiscard]] std::vector<TimelineStream> dispatcher_streams(
+    const std::string& work_dir, std::size_t shards);
+
+/// Merges `streams`, in order, into `outputs`. Stream-level problems
+/// (missing files, torn lines) degrade silently; an empty stream list or
+/// an unwritable output lands in `error`.
+[[nodiscard]] TimelineSummary merge_streams(
+    const std::vector<TimelineStream>& streams,
+    const TimelineOutputs& outputs, std::ostream* log = nullptr);
 
 /// Merges every telemetry stream under `options.work_dir`. Worker-level
 /// problems (missing streams, torn lines) degrade silently — the merge

@@ -235,112 +235,4 @@ std::vector<std::uint64_t> decision_flow_ids(const TraceEvent& event,
 
 }  // namespace detail
 
-namespace {
-
-std::uint64_t to_ns(double ts_us) {
-  return ts_us <= 0.0 ? 0 : static_cast<std::uint64_t>(ts_us * 1e3);
-}
-
-}  // namespace
-
-PerfettoStreamSink::PerfettoStreamSink(std::string path,
-                                       StreamSinkOptions options)
-    : FileStreamSink(std::move(path), options), writer_(out_) {}
-
-PerfettoStreamSink::~PerfettoStreamSink() { finalize(); }
-
-void PerfettoStreamSink::begin() {}
-
-std::uint64_t PerfettoStreamSink::process_uuid(Domain domain) {
-  std::uint64_t& uuid = process_uuids_[static_cast<int>(domain)];
-  if (uuid == 0) {
-    uuid = writer_.add_process(obs::detail::pid_of(domain),
-                               std::string(to_string(domain)));
-  }
-  return uuid;
-}
-
-std::uint64_t PerfettoStreamSink::lane_uuid(Domain domain, std::uint32_t lane) {
-  const auto key = std::make_pair(domain, lane);
-  const auto it = lane_uuids_.find(key);
-  if (it != lane_uuids_.end()) return it->second;
-  process_uuid(domain);  // declare the process before its first thread
-  const auto named = lane_names_.find(key);
-  const std::string name = named != lane_names_.end()
-                               ? named->second
-                               : "lane-" + std::to_string(lane);
-  const std::uint64_t uuid = writer_.add_thread(
-      obs::detail::pid_of(domain), static_cast<std::int32_t>(lane), name);
-  lane_uuids_.emplace(key, uuid);
-  return uuid;
-}
-
-std::uint64_t PerfettoStreamSink::counter_uuid(Domain domain,
-                                               const std::string& name) {
-  const auto key = std::make_pair(domain, name);
-  const auto it = counter_uuids_.find(key);
-  if (it != counter_uuids_.end()) return it->second;
-  const std::uint64_t uuid = writer_.add_counter(process_uuid(domain), name);
-  counter_uuids_.emplace(key, uuid);
-  return uuid;
-}
-
-void PerfettoStreamSink::write_lane_name(Domain domain, std::uint32_t lane,
-                                         const std::string& name) {
-  // Queue through the event buffer as a synthetic 'M' event, matching
-  // ChromeStreamSink, so descriptor order follows append order.
-  const auto key = std::make_pair(domain, lane);
-  const auto it = lane_names_.find(key);
-  if (it != lane_names_.end() && it->second == name) return;
-  lane_names_.insert_or_assign(key, name);
-  TraceEvent meta;
-  meta.domain = domain;
-  meta.phase = 'M';
-  meta.lane = lane;
-  meta.name = name;
-  write(meta);
-}
-
-void PerfettoStreamSink::render(const TraceEvent& event) {
-  switch (event.phase) {
-    case 'M': {
-      // Lane renamed: re-emit the thread descriptor under the same uuid
-      // (trace_processor keeps the latest name) or just record the name for
-      // the lazily created track.
-      const auto key = std::make_pair(event.domain, event.lane);
-      const auto it = lane_uuids_.find(key);
-      if (it != lane_uuids_.end()) {
-        writer_.redeclare_thread(it->second,
-                                 obs::detail::pid_of(event.domain),
-                                 static_cast<std::int32_t>(event.lane),
-                                 event.name);
-      }
-      return;
-    }
-    case 'C': {
-      double value = 0.0;
-      if (!detail::counter_value(event, &value)) return;
-      writer_.counter(counter_uuid(event.domain, event.name),
-                      to_ns(event.ts_us), value);
-      return;
-    }
-    case 'X': {
-      const std::uint64_t track = lane_uuid(event.domain, event.lane);
-      writer_.slice_begin(track, to_ns(event.ts_us), event.name, event.cat);
-      writer_.slice_end(track, to_ns(event.ts_us + event.dur_us));
-      return;
-    }
-    default:
-      if (event.cat == "decision") {
-        writer_.instant(lane_uuid(event.domain, event.lane),
-                        to_ns(event.ts_us), event.name, event.cat,
-                        detail::decision_flow_ids(event));
-        return;
-      }
-      writer_.instant(lane_uuid(event.domain, event.lane), to_ns(event.ts_us),
-                      event.name, event.cat);
-      return;
-  }
-}
-
 }  // namespace dcs::obs

@@ -13,22 +13,18 @@
 // Names and categories are emitted inline (no interning) — simpler, and
 // these traces are written once and queried offline.
 //
-// PerfettoWriter is the low-level encoder (exp/timeline.h drives it
-// directly to lay many processes on one timeline); PerfettoStreamSink
-// adapts it to the TraceSink interface with the repo's sim/wall process
-// convention, so benches stream `<name>_trace.perfetto` next to the Chrome
-// and JSONL files.
+// PerfettoWriter is the low-level encoder. exp/timeline.h drives it to lay
+// one or many telemetry streams on one timeline — the dispatcher's merged
+// timeline.perfetto and `trace_query export --perfetto=` both come from
+// there.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "obs/sink.h"
 #include "obs/trace.h"
 
 namespace dcs::obs {
@@ -74,34 +70,6 @@ class PerfettoWriter {
   std::ostream* out_;
   std::uint64_t next_uuid_ = 1;
   std::size_t packets_ = 0;
-};
-
-/// TraceSink that writes a Perfetto protobuf trace with the repo's process
-/// convention (pid 1 = "sim", pid 2 = "wall"; one thread track per lane;
-/// 'C' events become one counter track per (domain, name), valued from
-/// their "value" arg). Rides FileStreamSink for bounded buffering, crash
-/// awareness (ok()) and the synthetic-'M' lane-name path.
-class PerfettoStreamSink final : public FileStreamSink {
- public:
-  explicit PerfettoStreamSink(std::string path, StreamSinkOptions options = {});
-  ~PerfettoStreamSink() override;
-
-  void write_lane_name(Domain domain, std::uint32_t lane,
-                       const std::string& name) override;
-
- private:
-  void render(const TraceEvent& event) override;
-  void begin() override;
-
-  std::uint64_t process_uuid(Domain domain);
-  std::uint64_t lane_uuid(Domain domain, std::uint32_t lane);
-  std::uint64_t counter_uuid(Domain domain, const std::string& name);
-
-  PerfettoWriter writer_;
-  std::uint64_t process_uuids_[2] = {0, 0};
-  std::map<std::pair<Domain, std::uint32_t>, std::uint64_t> lane_uuids_;
-  std::map<std::pair<Domain, std::uint32_t>, std::string> lane_names_;
-  std::map<std::pair<Domain, std::string>, std::uint64_t> counter_uuids_;
 };
 
 namespace detail {

@@ -55,65 +55,14 @@ void capture_args(const json::Value& args, QueryEvent* q) {
   }
 }
 
-void load_chrome(const json::Value& doc, TraceData* trace) {
-  const json::Value* events = doc.find("traceEvents");
-  DCS_REQUIRE(events != nullptr && events->is_array(),
-              "chrome trace has no traceEvents array");
-  // First pass: process names, so merged timelines ("shard0/sim") resolve
-  // to (src, domain) while single-process traces ("sim") keep src empty.
-  std::map<int, std::string> process_names;
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const json::Value& e = (*events)[i];
-    const json::Value* ph = e.find("ph");
-    if (ph == nullptr || !ph->is_string() || ph->as_string() != "M") continue;
-    const json::Value* name = e.find("name");
-    if (name == nullptr || name->as_string() != "process_name") continue;
-    process_names[static_cast<int>(e.at("pid").as_number())] =
-        e.at("args").at("name").as_string();
-  }
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const json::Value& e = (*events)[i];
-    const std::string& ph = e.at("ph").as_string();
-    if (ph.empty() || ph == "M") continue;
-    QueryEvent q;
-    q.ph = ph[0];
-    q.ts_us = e.at("ts").as_number();
-    const json::Value* dur = e.find("dur");
-    if (dur != nullptr) q.dur_us = dur->as_number();
-    const json::Value* tid = e.find("tid");
-    if (tid != nullptr) q.lane = static_cast<std::uint32_t>(tid->as_number());
-    const json::Value* cat = e.find("cat");
-    if (cat != nullptr && cat->is_string()) q.cat = cat->as_string();
-    const json::Value* name = e.find("name");
-    if (name != nullptr && name->is_string()) q.name = name->as_string();
-    const auto it =
-        process_names.find(static_cast<int>(e.at("pid").as_number()));
-    const std::string process = it != process_names.end() ? it->second : "";
-    const std::size_t slash = process.find('/');
-    if (slash == std::string::npos) {
-      q.domain = process;
-    } else {
-      q.src = process.substr(0, slash);
-      q.domain = process.substr(slash + 1);
-    }
-    const json::Value* args = e.find("args");
-    if (q.ph == 'C' && args != nullptr) {
-      q.has_value = args_value(*args, &q.value);
-    } else if (q.ph == 'i' && args != nullptr) {
-      capture_args(*args, &q);
-    }
-    trace->events.push_back(std::move(q));
-  }
-}
-
-/// One JSONL line: a plain trace event ({"domain": ..., "ph": ...}) or a
-/// telemetry/timeline line ({"t": "ev", ...}); anything else is skipped.
+/// One telemetry/timeline line: "ev" lines carry the events; header, lane,
+/// hb, metric, stack and end lines (and anything else) are skipped.
 void load_jsonl_line(std::string_view line, TraceData* trace) {
   const json::Value e = json::parse(line);
   if (!e.is_object()) return;
   const json::Value* type = e.find("t");
-  if (type != nullptr && (!type->is_string() || type->as_string() != "ev")) {
-    return;  // header/hb/metric/stack/end lines carry no events
+  if (type == nullptr || !type->is_string() || type->as_string() != "ev") {
+    return;
   }
   const json::Value* domain = e.find("domain");
   const json::Value* ph = e.find("ph");
@@ -154,21 +103,7 @@ TraceData load_trace(const std::string& path) {
   const std::string text = buf.str();
 
   TraceData trace;
-  const std::size_t first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) return trace;
-
-  // A Chrome trace is one document whose first line has no newline-bounded
-  // object-per-line shape; detect it by the traceEvents key up front.
-  const std::size_t first_nl = text.find('\n', first);
-  const std::string_view head(text.data() + first,
-                              (first_nl == std::string::npos ? text.size()
-                                                             : first_nl) -
-                                  first);
-  if (head.find("\"traceEvents\"") != std::string_view::npos) {
-    load_chrome(json::parse(text), &trace);
-    return trace;
-  }
-  std::size_t begin = first;
+  std::size_t begin = 0;
   while (begin < text.size()) {
     std::size_t nl = text.find('\n', begin);
     if (nl == std::string::npos) nl = text.size();

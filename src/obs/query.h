@@ -1,17 +1,16 @@
-// Offline trace analysis behind tools/trace_query: loads any of the repo's
-// trace encodings into one flat event list and computes per-scope duration
-// stats, counter-track statistics and threshold-crossing windows — the
-// questions every sprint trace gets asked ("how long were the sprints",
-// "when did cb_trip_margin_s dip below 0.5 s", "which intervals violated
-// the serving p99 SLO").
+// Offline trace analysis behind tools/trace_query: loads a trace stream
+// into one flat event list and computes per-scope duration stats,
+// counter-track statistics and threshold-crossing windows — the questions
+// every sprint trace gets asked ("how long were the sprints", "when did
+// cb_trip_margin_s dip below 0.5 s", "which intervals violated the serving
+// p99 SLO").
 //
-// Accepted inputs (auto-detected):
-//   * Chrome trace-event JSON   (`*_trace.json`, Tracer/ChromeStreamSink)
-//   * trace JSONL               (`*_trace.jsonl`, one event object per line)
-//   * telemetry / timeline JSONL (obs/telemetry.h streams and the
-//     dispatcher's merged `timeline.jsonl` — "ev" lines carry the events,
-//     and the timeline's "src" tag survives into QueryEvent::src so stats
-//     can be grouped per shard process)
+// Input is the one on-disk encoding, telemetry-schema JSONL
+// (obs/telemetry.h): a bench's `*_trace.jsonl` / telemetry= stream, a
+// Tracer::write_jsonl dump, or the dispatcher's merged `timeline.jsonl`.
+// "ev" lines carry the events; the timeline's "src" tag survives into
+// QueryEvent::src so stats can be grouped per shard process. Every other
+// line type is skipped.
 //
 // All results are deterministic: events keep file order, groups iterate in
 // sorted key order, so CSV output is byte-stable and diffable across runs
@@ -26,7 +25,7 @@
 
 namespace dcs::obs::query {
 
-/// One trace event, decoded from any input format. `src` is the producing
+/// One trace event, decoded from one "ev" line. `src` is the producing
 /// process ("" for single-process traces; "dispatcher"/"shard0#1"/... in
 /// merged timelines).
 struct QueryEvent {
@@ -53,8 +52,9 @@ struct TraceData {
   std::vector<QueryEvent> events;
 };
 
-/// Loads a trace file, auto-detecting the encoding. Throws
-/// std::invalid_argument when the file cannot be read or parsed.
+/// Loads a telemetry-schema JSONL trace. Unparsable lines (a crashed
+/// writer's torn tail) are skipped. Throws std::invalid_argument when the
+/// file cannot be read.
 [[nodiscard]] TraceData load_trace(const std::string& path);
 
 /// Duration statistics over 'X' span events, grouped by (src, name).

@@ -9,32 +9,6 @@
 #include "util/json.h"
 
 namespace dcs::obs {
-namespace {
-
-/// Renders one trace event as a compact telemetry line (the "ev" analogue
-/// of detail::write_jsonl_event, plus the type discriminator).
-std::string render_event_line(const TraceEvent& e) {
-  std::ostringstream out;
-  out << "{\"t\":\"ev\",\"domain\":\"" << to_string(e.domain)
-      << "\",\"ph\":\"" << e.phase
-      << "\",\"ts\":" << detail::render_number(e.ts_us);
-  if (e.phase == 'X') out << ",\"dur\":" << detail::render_number(e.dur_us);
-  out << ",\"lane\":" << e.lane << ",\"cat\":" << detail::render_string(e.cat)
-      << ",\"name\":" << detail::render_string(e.name);
-  if (!e.args.empty()) {
-    out << ",\"args\":{";
-    for (std::size_t i = 0; i < e.args.size(); ++i) {
-      out << (i == 0 ? "" : ",") << detail::render_string(e.args[i].key)
-          << ":" << e.args[i].value;
-    }
-    out << "}";
-  }
-  out << "}";
-  return out.str();
-}
-
-}  // namespace
-
 TelemetrySink::TelemetrySink(const std::string& path, TelemetryOptions options)
     : path_(path), out_(path, std::ios::trunc) {
   ok_ = static_cast<bool>(out_);
@@ -55,7 +29,11 @@ TelemetrySink::~TelemetrySink() { close(); }
 void TelemetrySink::write(const TraceEvent& event) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || !ok_) return;
-  line_locked(render_event_line(event), /*flush=*/false);
+  event_line_.clear();
+  detail::append_jsonl_event(event_line_, event);
+  out_.write(event_line_.data(),
+             static_cast<std::streamsize>(event_line_.size()));
+  if (!out_) ok_ = false;
   ++events_;
 }
 

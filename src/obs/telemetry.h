@@ -1,15 +1,20 @@
-// Worker telemetry streaming: one crash-safe JSONL file per worker attempt
-// carrying everything a supervisor needs to watch — and later merge — a
-// shard process: trace events, progress heartbeats, metric snapshots and
-// sampler folded stacks, under a header that anchors the process's wall
-// clock to the Unix epoch (obs::Profiler::epoch_unix_us).
+// Telemetry streaming: the one on-disk trace encoding. A traced process
+// writes one crash-safe JSONL file (bench trace=<dir> puts it at
+// <dir>/<name>_trace.jsonl, telemetry=<path> at <path>; a dispatcher gives
+// each worker attempt its own) carrying everything a reader needs to
+// watch, query or merge the process: trace events, progress heartbeats,
+// metric snapshots and sampler folded stacks, under a header that anchors
+// the process's wall clock to the Unix epoch
+// (obs::Profiler::epoch_unix_us). Chrome JSON and Perfetto views are
+// rendered offline from the stream by `trace_query export`.
 //
 // Line schema (`"t"` discriminates; unknown types are skipped by readers so
 // the format is forward-extensible):
 //
 //   {"t":"header","telemetry":1,"name":...,"pid":...,"shard":"i/N",
 //    "epoch_unix_us":...}                         exactly once, first line
-//   {"t":"ev","domain":...,"ph":...,"ts":...,...} one trace event
+//   {"t":"ev", "domain": ..., "ph": ..., "ts": ..., ...}
+//                                                 one trace event
 //   {"t":"lane","domain":...,"lane":...,"name":...}  lane naming metadata
 //   {"t":"hb","wall_us":...,"sweep":...,"done":...,"total":...}
 //   {"t":"metric","name":...,"kind":...,"labels":...,"stat":...,"value":...}
@@ -21,12 +26,12 @@
 // worker killed mid-write (the dispatcher's whole job is to kill workers)
 // leaves a stream the supervisor still consumes.
 //
-// Unlike the other file sinks, TelemetrySink is thread-safe: heartbeats
-// arrive from sweep worker threads while the merge thread writes events.
+// TelemetrySink is thread-safe: heartbeats arrive from sweep worker threads
+// while the merge thread writes events. Memory stays bounded by the file
+// buffer: events are rendered straight to the stream, never retained.
 // finalize() only flushes — the TraceSink contract's "no writes after
-// finalize" is relaxed here because the telemetry stream outlives the trace
-// tee it participates in (metrics/stacks/end are appended after the trace
-// sinks close). close() writes the end marker and seals the file.
+// finalize" is relaxed here because metrics/stacks/end are appended after
+// the trace events. close() writes the end marker and seals the file.
 #pragma once
 
 #include <cstdint>
@@ -90,6 +95,8 @@ class TelemetrySink final : public TraceSink {
   bool ok_ = false;
   bool closed_ = false;
   std::size_t events_ = 0;
+  /// Reused render buffer for "ev" lines (guarded by mu_).
+  std::string event_line_;
 };
 
 /// Latest progress heartbeat seen in a telemetry stream.

@@ -2,8 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 #include <utility>
 
@@ -84,6 +82,10 @@ namespace {
 constexpr int kSimPid = 1;
 constexpr int kWallPid = 2;
 
+[[nodiscard]] int pid_of(Domain domain) noexcept {
+  return domain == Domain::kSim ? kSimPid : kWallPid;
+}
+
 void append_args(std::string& out, const std::vector<TraceArg>& args) {
   out += '{';
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -96,10 +98,6 @@ void append_args(std::string& out, const std::vector<TraceArg>& args) {
 }
 
 }  // namespace
-
-int pid_of(Domain domain) noexcept {
-  return domain == Domain::kSim ? kSimPid : kWallPid;
-}
 
 void append_event_json(std::string& out, const TraceEvent& e) {
   out += "{\"ph\": \"";
@@ -127,7 +125,9 @@ void append_event_json(std::string& out, const TraceEvent& e) {
 }
 
 void append_jsonl_event(std::string& out, const TraceEvent& e) {
-  out += "{\"domain\": \"";
+  // The discriminator is compact so readers can dispatch on the
+  // `{"t":"<type>"` prefix without parsing (obs::TelemetryTail).
+  out += "{\"t\":\"ev\", \"domain\": \"";
   out += to_string(e.domain);
   out += "\", \"ph\": \"";
   out += e.phase;
@@ -148,31 +148,6 @@ void append_jsonl_event(std::string& out, const TraceEvent& e) {
     append_args(out, e.args);
   }
   out += "}\n";
-}
-
-void write_event_json(std::ostream& out, const TraceEvent& e) {
-  std::string buf;
-  append_event_json(buf, e);
-  out << buf;
-}
-
-void write_jsonl_event(std::ostream& out, const TraceEvent& e) {
-  std::string buf;
-  append_jsonl_event(buf, e);
-  out << buf;
-}
-
-void write_lane_metadata_json(std::ostream& out, Domain domain,
-                              std::uint32_t lane, const std::string& name) {
-  out << "{\"ph\": \"M\", \"pid\": " << pid_of(domain) << ", \"tid\": " << lane
-      << ", \"name\": \"thread_name\", \"args\": {\"name\": "
-      << render_string(name) << "}}";
-}
-
-void write_process_metadata_json(std::ostream& out, Domain domain) {
-  out << "{\"ph\": \"M\", \"pid\": " << pid_of(domain)
-      << ", \"name\": \"process_name\", \"args\": {\"name\": "
-      << render_string(to_string(domain)) << "}}";
 }
 
 }  // namespace detail
@@ -243,11 +218,13 @@ void Tracer::merge_from(Tracer&& other) {
 }
 
 void Tracer::name_lane(Domain domain, std::uint32_t lane, std::string name) {
-  if (sink_ != nullptr) {
-    sink_->write_lane_name(domain, lane, name);
-    return;
+  const auto [it, inserted] = lane_names_.try_emplace({domain, lane}, name);
+  if (!inserted) {
+    // Profiler export re-names a lane per span: a sink sees changes only.
+    if (it->second == name) return;
+    it->second = std::move(name);
   }
-  lane_names_.insert_or_assign({domain, lane}, std::move(name));
+  if (sink_ != nullptr) sink_->write_lane_name(domain, lane, it->second);
 }
 
 void Tracer::clear() {
@@ -293,14 +270,22 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
       have = have || key.first == domain;
     }
     if (!have) continue;
-    std::ostringstream meta;
-    detail::write_process_metadata_json(meta, domain);
-    sep() += meta.str();
+    std::string& meta = sep();
+    meta += "{\"ph\": \"M\", \"pid\": ";
+    meta += std::to_string(detail::pid_of(domain));
+    meta += ", \"name\": \"process_name\", \"args\": {\"name\": ";
+    detail::append_json_string(meta, to_string(domain));
+    meta += "}}";
   }
   for (const auto& [key, name] : lane_names_) {
-    std::ostringstream meta;
-    detail::write_lane_metadata_json(meta, key.first, key.second, name);
-    sep() += meta.str();
+    std::string& meta = sep();
+    meta += "{\"ph\": \"M\", \"pid\": ";
+    meta += std::to_string(detail::pid_of(key.first));
+    meta += ", \"tid\": ";
+    meta += std::to_string(key.second);
+    meta += ", \"name\": \"thread_name\", \"args\": {\"name\": ";
+    detail::append_json_string(meta, name);
+    meta += "}}";
   }
   for (const TraceEvent& e : events_) {
     detail::append_event_json(sep(), e);
@@ -311,26 +296,6 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   }
   buf += "\n]}\n";
   out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-}
-
-bool export_trace(const std::string& dir, const std::string& name,
-                  const Tracer& tracer, std::ostream* diag) {
-  bool ok = true;
-  const auto write = [&](const std::string& path, auto&& writer) {
-    std::ofstream out(path);
-    if (!out) {
-      if (diag != nullptr) *diag << "cannot write " << path << "\n";
-      ok = false;
-      return;
-    }
-    writer(out);
-    if (diag != nullptr) *diag << "[obs] wrote " << path << "\n";
-  };
-  write(dir + "/" + name + "_trace.json",
-        [&](std::ostream& o) { tracer.write_chrome_trace(o); });
-  write(dir + "/" + name + "_trace.jsonl",
-        [&](std::ostream& o) { tracer.write_jsonl(o); });
-  return ok;
 }
 
 }  // namespace dcs::obs

@@ -1,5 +1,10 @@
-// Structured trace events for the sprinting stack, exportable as JSONL and
-// as Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
+// Structured trace events for the sprinting stack. The one on-disk
+// encoding is the telemetry line schema of obs/telemetry.h: every event is
+// a {"t":"ev",...} line (detail::append_jsonl_event), whether it is
+// streamed by a TelemetrySink or dumped by Tracer::write_jsonl. Chrome
+// trace-event JSON and Perfetto protobuf views are produced offline from a
+// stream by `trace_query export`; write_chrome_trace remains for in-memory
+// consumers.
 //
 // Two clock domains share one Tracer:
 //  * kSim — events stamped with *simulated* time (controller phase
@@ -14,7 +19,7 @@
 //
 // A Tracer either buffers events in memory (the default — events() exposes
 // them for tests and task-order merging) or forwards them to a TraceSink
-// (obs/sink.h) for bounded-memory streaming of traces larger than RAM.
+// (an obs::TelemetrySink streaming to disk with bounded memory).
 //
 // The Tracer itself is not thread-safe: one Tracer per run/task, merged
 // afterwards on one thread.
@@ -65,9 +70,9 @@ struct TraceEvent {
 };
 
 /// Consumer of a Tracer's event stream. Implementations decide what storing
-/// an event means: the Tracer's built-in buffer, a bounded-memory file
-/// stream (obs/sink.h), a tee, ... Sinks see events in append order; lane
-/// metadata may arrive at any point before finalize().
+/// an event means: a telemetry file stream (obs/telemetry.h), a timing
+/// probe, ... Sinks see events in append order; lane metadata may arrive at
+/// any point before finalize().
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -79,9 +84,7 @@ class TraceSink {
   /// contract violation.
   virtual void finalize() = 0;
   /// False once the sink can no longer store events (file sinks: a write
-  /// failed, e.g. disk full). Composite sinks (TeeSink) report unhealthy as
-  /// soon as any child does, so one full disk cannot silently truncate one
-  /// of several outputs while the run reports success.
+  /// failed, e.g. disk full).
   [[nodiscard]] virtual bool healthy() const { return true; }
 };
 
@@ -90,7 +93,8 @@ class Tracer {
   Tracer() = default;
   /// A streaming Tracer: every appended event is forwarded to `sink`
   /// instead of being buffered (events() stays empty, count() still
-  /// tracks totals). `sink` must outlive the Tracer; the caller finalizes.
+  /// tracks totals), and a lane name whenever it changes. `sink` must
+  /// outlive the Tracer; the caller finalizes.
   explicit Tracer(TraceSink* sink) : sink_(sink) {}
 
   /// Lane stamped on subsequently appended sim events (sweeps set this to
@@ -122,8 +126,7 @@ class Tracer {
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     return events_;
   }
-  /// Lane metadata registered via name_lane, keyed by (domain, lane) —
-  /// lets a late-attached sink (telemetry forwarding) replay the names.
+  /// Lane metadata registered via name_lane, keyed by (domain, lane).
   [[nodiscard]] const std::map<std::pair<Domain, std::uint32_t>, std::string>&
   lane_names() const noexcept {
     return lane_names_;
@@ -138,7 +141,8 @@ class Tracer {
   }
   void clear();
 
-  /// One JSON object per line, every event in append order.
+  /// One telemetry "ev" line per event, in append order (no header: the
+  /// event lines of a TelemetrySink stream).
   void write_jsonl(std::ostream& out) const;
   /// Chrome trace-event JSON: {"traceEvents": [...]} with process/thread
   /// metadata (pid 1 = "sim", pid 2 = "wall"); loads in Perfetto.
@@ -152,29 +156,20 @@ class Tracer {
   std::map<std::pair<Domain, std::uint32_t>, std::string> lane_names_;
 };
 
-/// Writes `<dir>/<name>_trace.json` (Chrome) and `<dir>/<name>_trace.jsonl`.
-/// Returns false (after a diagnostic on `diag`) when a file cannot open.
-bool export_trace(const std::string& dir, const std::string& name,
-                  const Tracer& tracer, std::ostream* diag = nullptr);
-
 namespace detail {
-// Shared JSON rendering between the buffered writers above and the
-// streaming sinks in obs/sink.h. The append_* forms build into a caller
-// buffer with std::to_chars — the bulk exporters serialize hundreds of
-// thousands of events, where per-event ostream formatting dominated the
-// day-long fig01 wall time. The ostream forms delegate to them.
+// Shared JSON rendering. The append_* forms build into a caller buffer with
+// std::to_chars — the bulk writers serialize hundreds of thousands of
+// events, where per-event ostream formatting dominated the day-long fig01
+// wall time.
 [[nodiscard]] std::string render_number(double v);
 [[nodiscard]] std::string render_string(std::string_view s);
-[[nodiscard]] int pid_of(Domain domain) noexcept;
 void append_number(std::string& out, double v);
 void append_json_string(std::string& out, std::string_view s);
+/// One Chrome trace-event object (pid 1 = sim, pid 2 = wall), no newline.
 void append_event_json(std::string& out, const TraceEvent& e);
+/// One telemetry "ev" line ({"t":"ev","domain":...}), newline-terminated —
+/// the single event-line renderer of TelemetrySink and Tracer::write_jsonl.
 void append_jsonl_event(std::string& out, const TraceEvent& e);
-void write_event_json(std::ostream& out, const TraceEvent& e);
-void write_jsonl_event(std::ostream& out, const TraceEvent& e);
-void write_lane_metadata_json(std::ostream& out, Domain domain,
-                              std::uint32_t lane, const std::string& name);
-void write_process_metadata_json(std::ostream& out, Domain domain);
 }  // namespace detail
 
 }  // namespace dcs::obs

@@ -8,11 +8,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/query.h"
 #include "util/json.h"
 
 namespace dcs::exp {
@@ -151,22 +151,53 @@ TEST(ExpTimeline, MergesSourcesInDeterministicOrderWithEpochAlignment) {
   fs::remove_all(dir);
 }
 
+/// A Chrome event resolved through its pid's "src/domain" process name.
+struct ChromeEvent {
+  std::string src;
+  std::string domain;
+  double ts_us = 0.0;
+};
+
+std::vector<ChromeEvent> load_chrome(const std::string& path) {
+  const json::Value doc = json::parse_file(path);
+  const json::Value& all = doc.at("traceEvents");
+  std::map<int, std::string> process_names;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const json::Value& e = all[i];
+    if (e.at("ph").as_string() == "M" &&
+        e.at("name").as_string() == "process_name") {
+      process_names[static_cast<int>(e.at("pid").as_number())] =
+          e.at("args").at("name").as_string();
+    }
+  }
+  std::vector<ChromeEvent> events;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const json::Value& e = all[i];
+    if (e.at("ph").as_string() == "M") continue;
+    const std::string& process =
+        process_names.at(static_cast<int>(e.at("pid").as_number()));
+    const std::size_t slash = process.find('/');
+    events.push_back({process.substr(0, slash), process.substr(slash + 1),
+                      e.at("ts").as_number()});
+  }
+  return events;
+}
+
 TEST(ExpTimeline, ChromeOutputSeparatesSourcesByPid) {
   const std::string dir = build_work_dir("chrome");
   const TimelineSummary summary = merge_timeline(options_for(dir));
   ASSERT_TRUE(summary.ok()) << summary.error;
-  const obs::query::TraceData trace =
-      obs::query::load_trace(summary.chrome_path);
-  ASSERT_EQ(trace.events.size(), 5u);
+  const std::vector<ChromeEvent> events = load_chrome(summary.chrome_path);
+  ASSERT_EQ(events.size(), 5u);
   // src/domain resolve from the per-source process names.
-  EXPECT_EQ(trace.events[0].src, "dispatcher");
-  EXPECT_EQ(trace.events[0].domain, "wall");
-  EXPECT_EQ(trace.events[1].src, "shard0");
-  EXPECT_EQ(trace.events[1].domain, "sim");
-  EXPECT_EQ(trace.events[3].src, "shard1");
-  EXPECT_EQ(trace.events[4].src, "shard1#2");
+  EXPECT_EQ(events[0].src, "dispatcher");
+  EXPECT_EQ(events[0].domain, "wall");
+  EXPECT_EQ(events[1].src, "shard0");
+  EXPECT_EQ(events[1].domain, "sim");
+  EXPECT_EQ(events[3].src, "shard1");
+  EXPECT_EQ(events[4].src, "shard1#2");
   // Aligned wall timestamps survive the Chrome path too.
-  EXPECT_EQ(trace.events[3].ts_us, 3002.0);
+  EXPECT_EQ(events[3].ts_us, 3002.0);
   fs::remove_all(dir);
 }
 

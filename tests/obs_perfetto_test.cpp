@@ -1,5 +1,6 @@
 // Perfetto protobuf output: wire-format framing, TrackEvent payloads and
-// the PerfettoStreamSink's process/track convention, verified with a small
+// the process/track convention of `trace_query export --perfetto=` (one
+// telemetry stream through exp::merge_streams), verified with a small
 // in-test protobuf decoder (the repo itself never parses protobuf).
 #include "obs/perfetto.h"
 
@@ -14,7 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/sink.h"
+#include "exp/timeline.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/proto.h"
 
@@ -228,7 +230,27 @@ TEST(ObsPerfetto, IdenticalCallSequencesProduceIdenticalBytes) {
   EXPECT_EQ(run(), run()) << "timeline re-merges rely on byte stability";
 }
 
-// -- PerfettoStreamSink ------------------------------------------------------
+// -- export path: telemetry stream -> Perfetto ------------------------------
+
+/// Streams `feed`'s writes through a TelemetrySink, exports the stream's
+/// Perfetto view, and returns its path.
+template <typename Feed>
+std::string export_perfetto(const std::string& name, Feed feed) {
+  const std::string stream = temp_path(name + ".jsonl");
+  const std::string out = temp_path(name + ".perfetto");
+  {
+    TelemetrySink sink(stream);
+    EXPECT_TRUE(sink.ok());
+    feed(sink);
+  }
+  exp::TimelineOutputs outputs;
+  outputs.perfetto = out;
+  const exp::TimelineSummary summary =
+      exp::merge_streams({{stream, ""}}, outputs);
+  EXPECT_TRUE(summary.ok()) << summary.error;
+  std::remove(stream.c_str());
+  return out;
+}
 
 TraceEvent event_with(Domain domain, char phase, double ts_us,
                       const std::string& name) {
@@ -241,22 +263,18 @@ TraceEvent event_with(Domain domain, char phase, double ts_us,
   return e;
 }
 
-TEST(ObsPerfetto, StreamSinkMapsDomainsLanesAndCountersToTracks) {
-  const std::string path = temp_path("perfetto_sink.perfetto");
-  {
-    PerfettoStreamSink sink(path, {.buffer_events = 4});
-    ASSERT_TRUE(sink.ok());
-    sink.write_lane_name(Domain::kSim, 0, "named-early");
-    sink.write(event_with(Domain::kSim, 'i', 1.0, "tick"));
-    TraceEvent span = event_with(Domain::kSim, 'X', 2.0, "span");
-    span.dur_us = 5.0;
-    sink.write(span);
-    TraceEvent sample = event_with(Domain::kWall, 'C', 3.0, "degree");
-    sample.args = {arg("value", 2.75)};
-    sink.write(sample);
-    sink.finalize();
-    EXPECT_EQ(sink.events_written(), 4u);  // 3 + synthetic lane-name 'M'
-  }
+TEST(ObsPerfetto, ExportMapsDomainsLanesAndCountersToTracks) {
+  const std::string path =
+      export_perfetto("perfetto_export", [](TelemetrySink& sink) {
+        sink.write_lane_name(Domain::kSim, 0, "named-early");
+        sink.write(event_with(Domain::kSim, 'i', 1.0, "tick"));
+        TraceEvent span = event_with(Domain::kSim, 'X', 2.0, "span");
+        span.dur_us = 5.0;
+        sink.write(span);
+        TraceEvent sample = event_with(Domain::kWall, 'C', 3.0, "degree");
+        sample.args = {arg("value", 2.75)};
+        sink.write(sample);
+      });
   const std::vector<std::string> packets = split_packets(read_file(path));
   // sim process + sim thread + wall process + wall counter descriptors,
   // instant + slice begin/end + counter sample events.
@@ -305,16 +323,13 @@ TEST(ObsPerfetto, StreamSinkMapsDomainsLanesAndCountersToTracks) {
 }
 
 TEST(ObsPerfetto, LaneRenameRedeclaresTheSameTrackUuid) {
-  const std::string path = temp_path("perfetto_rename.perfetto");
-  {
-    PerfettoStreamSink sink(path, {.buffer_events = 1});
-    // buffer_events=1 renders the instant (minting the track) before the
-    // rename arrives, forcing the redeclare path rather than the eager-name
-    // one.
-    sink.write(event_with(Domain::kSim, 'i', 1.0, "before"));
-    sink.write_lane_name(Domain::kSim, 0, "renamed");
-    sink.finalize();
-  }
+  // The instant mints the track before the rename arrives, forcing the
+  // redeclare path rather than the eager-name one.
+  const std::string path =
+      export_perfetto("perfetto_rename", [](TelemetrySink& sink) {
+        sink.write(event_with(Domain::kSim, 'i', 1.0, "before"));
+        sink.write_lane_name(Domain::kSim, 0, "renamed");
+      });
   std::map<std::uint64_t, std::vector<std::string>> names_by_uuid;
   for (const std::string& payload : split_packets(read_file(path))) {
     const std::vector<Field> pkt = decode(payload);
@@ -347,6 +362,35 @@ TEST(ObsPerfetto, CounterEventsWithoutNumericPayloadAreDropped) {
   e.args = {arg("degree", 3.5)};
   EXPECT_TRUE(detail::counter_value(e, &value));
   EXPECT_EQ(value, 3.5);
+
+  // The export path drops a counter sample without a numeric "value": no
+  // counter track, no sample; the numeric one beside it survives.
+  const std::string path =
+      export_perfetto("perfetto_counter_drop", [](TelemetrySink& sink) {
+        TraceEvent text = event_with(Domain::kSim, 'C', 1.0, "textual");
+        text.args = {arg("value", std::string_view("n/a"))};
+        sink.write(text);
+        TraceEvent bare = event_with(Domain::kSim, 'C', 2.0, "bare");
+        sink.write(bare);
+        TraceEvent good = event_with(Domain::kSim, 'C', 3.0, "numeric");
+        good.args = {arg("value", 1.5)};
+        sink.write(good);
+      });
+  std::vector<std::string> counter_tracks;
+  std::size_t samples = 0;
+  for (const std::string& payload : split_packets(read_file(path))) {
+    const std::vector<Field> pkt = decode(payload);
+    if (const Field* track = find(pkt, kPacketTrackDescriptor)) {
+      const std::vector<Field> desc = decode(track->bytes);
+      if (const Field* name = find(desc, kTrackName)) {
+        counter_tracks.push_back(name->bytes);
+      }
+    }
+    if (find(pkt, kPacketTrackEvent) != nullptr) ++samples;
+  }
+  EXPECT_EQ(counter_tracks, (std::vector<std::string>{"numeric"}));
+  EXPECT_EQ(samples, 1u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,18 +1,23 @@
-// Offline trace analysis (obs/query.h): format auto-detection over the
-// repo's three trace encodings, scope/counter statistics, threshold-window
-// extraction with step-function semantics, and byte-stable CSV output.
+// Offline trace analysis (obs/query.h): loading telemetry-schema streams,
+// scope/counter statistics, threshold-window extraction with step-function
+// semantics, byte-stable CSV output, and the Chrome view `trace_query
+// export` renders from a stream.
 #include "obs/query.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "obs/sink.h"
+#include "exp/timeline.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "util/json.h"
 
 namespace dcs::obs::query {
 namespace {
@@ -59,7 +64,10 @@ std::string timeline_fixture() {
       "\"ts\":15,\"lane\":1,\"name\":\"degree\",\"args\":{\"value\":1}}\n"
       "{\"t\":\"ev\",\"src\":\"shard0\",\"domain\":\"sim\",\"ph\":\"C\","
       "\"ts\":35,\"lane\":1,\"name\":\"degree\",\"args\":{\"value\":1}}\n"
-      "{\"t\":\"stack\",\"stack\":\"a;b\",\"count\":3}\n");
+      "{\"t\":\"stack\",\"stack\":\"a;b\",\"count\":3}\n"
+      // A line without the "t" discriminator is not an event line.
+      "{\"domain\":\"sim\",\"ph\":\"X\",\"ts\":0,\"dur\":1,"
+      "\"lane\":0,\"cat\":\"c\",\"name\":\"untyped\"}\n");
   return path;
 }
 
@@ -157,39 +165,115 @@ TEST(ObsQuery, ThresholdWindowsFollowStepFunctionSemanticsPerLane) {
   std::remove(path.c_str());
 }
 
-TEST(ObsQuery, LoadsChromeTracesWithProcessNameResolution) {
-  const std::string path = temp_path("query_chrome.json");
-  write_file(
-      path,
-      "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n"
-      "  {\"ph\": \"M\", \"pid\": 10, \"name\": \"process_name\","
-      " \"args\": {\"name\": \"shard0/sim\"}},\n"
-      "  {\"ph\": \"M\", \"pid\": 1, \"name\": \"process_name\","
-      " \"args\": {\"name\": \"sim\"}},\n"
-      "  {\"ph\": \"X\", \"ts\": 5, \"dur\": 10, \"pid\": 10, \"tid\": 2,"
-      " \"cat\": \"c\", \"name\": \"merged-span\"},\n"
-      "  {\"ph\": \"C\", \"ts\": 7, \"pid\": 1, \"tid\": 0,"
-      " \"name\": \"soc\", \"args\": {\"value\": 0.5}}\n"
-      "]}\n");
-  const TraceData trace = load_trace(path);
-  ASSERT_EQ(trace.events.size(), 2u);
-  // Merged-timeline process names split into (src, domain)...
-  EXPECT_EQ(trace.events[0].src, "shard0");
-  EXPECT_EQ(trace.events[0].domain, "sim");
-  EXPECT_EQ(trace.events[0].lane, 2u);
-  EXPECT_EQ(trace.events[0].name, "merged-span");
-  // ...single-process names stay src-less.
-  EXPECT_EQ(trace.events[1].src, "");
-  EXPECT_EQ(trace.events[1].domain, "sim");
-  ASSERT_TRUE(trace.events[1].has_value);
-  EXPECT_EQ(trace.events[1].value, 0.5);
-  std::remove(path.c_str());
+/// A scalar JSON value as a comparable canonical literal.
+std::string literal(const json::Value& v) {
+  if (v.is_string()) return "\"" + v.as_string() + "\"";
+  if (v.is_bool()) return v.as_bool() ? "true" : "false";
+  return json::number_to_string(v.as_number());
+}
+
+/// Spans, counters, decision instants and lane names in both domains.
+void populate(Tracer& tracer) {
+  tracer.name_lane(Domain::kSim, 0, "greedy/day");
+  tracer.name_lane(Domain::kSim, 3, "task \"3\"");
+  tracer.instant(Duration::seconds(1), "decision", "sprint-onset",
+                 {arg("id", std::string_view("d0-1")), arg("degree", 1.5),
+                  arg("armed", true)});
+  tracer.counter(Duration::seconds(2), "counter", "ups_soc",
+                 {arg("value", 0.125)});
+  tracer.set_lane(3);
+  tracer.instant(Duration::seconds(3), "decision", "sprint-end",
+                 {arg("id", std::string_view("d3-2")),
+                  arg("cause", std::string_view("d0-1"))});
+  TraceEvent span;
+  span.domain = Domain::kWall;
+  span.phase = 'X';
+  span.ts_us = 12.5;
+  span.dur_us = 0.1 + 0.2;  // not exactly representable: bits must survive
+  span.lane = 1;
+  span.cat = "profile";
+  span.name = "controller.step";
+  tracer.append(span);
+  tracer.name_lane(Domain::kWall, 1, "worker-1");
+}
+
+TEST(ObsQuery, ExportedChromeRoundTripsTracerEvents) {
+  const std::string stream = temp_path("query_roundtrip.jsonl");
+  const std::string chrome = temp_path("query_roundtrip.json");
+  Tracer reference;
+  populate(reference);
+  {
+    TelemetrySink sink(stream);
+    Tracer streaming(&sink);
+    populate(streaming);
+    sink.close();
+    ASSERT_TRUE(sink.ok());
+  }
+  exp::TimelineOutputs outputs;
+  outputs.chrome = chrome;
+  const exp::TimelineSummary summary =
+      exp::merge_streams({{stream, ""}}, outputs);
+  ASSERT_TRUE(summary.ok()) << summary.error;
+
+  const json::Value doc = json::parse_file(chrome);
+  const json::Value& all = doc.at("traceEvents");
+  std::map<int, std::string> process_names;
+  std::map<std::pair<std::string, std::uint32_t>, std::string> lane_names;
+  std::vector<const json::Value*> events;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const json::Value& e = all[i];
+    if (e.at("ph").as_string() != "M") {
+      events.push_back(&e);
+    } else if (e.at("name").as_string() == "process_name") {
+      process_names[static_cast<int>(e.at("pid").as_number())] =
+          e.at("args").at("name").as_string();
+    }
+  }
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const json::Value& e = all[i];
+    if (e.at("ph").as_string() == "M" &&
+        e.at("name").as_string() == "thread_name") {
+      lane_names[{process_names.at(static_cast<int>(e.at("pid").as_number())),
+                  static_cast<std::uint32_t>(e.at("tid").as_number())}] =
+          e.at("args").at("name").as_string();
+    }
+  }
+
+  ASSERT_EQ(events.size(), reference.events().size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& want = reference.events()[i];
+    const json::Value& got = *events[i];
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(got.at("name").as_string(), want.name);
+    EXPECT_EQ(got.at("ph").as_string(), std::string(1, want.phase));
+    EXPECT_EQ(got.at("ts").as_number(), want.ts_us);
+    if (want.phase == 'X') EXPECT_EQ(got.at("dur").as_number(), want.dur_us);
+    EXPECT_EQ(got.at("tid").as_number(), static_cast<double>(want.lane));
+    EXPECT_EQ(got.at("cat").as_string(), want.cat);
+    EXPECT_EQ(process_names.at(static_cast<int>(got.at("pid").as_number())),
+              to_string(want.domain));
+    const json::Value* args = got.find("args");
+    ASSERT_EQ(args != nullptr, !want.args.empty());
+    if (args == nullptr) continue;
+    ASSERT_EQ(args->as_object().size(), want.args.size());
+    for (const TraceArg& a : want.args) {
+      EXPECT_EQ(literal(args->at(a.key)), literal(json::parse(a.value)))
+          << a.key;
+    }
+  }
+  std::map<std::pair<std::string, std::uint32_t>, std::string> want_lanes;
+  for (const auto& [key, name] : reference.lane_names()) {
+    want_lanes[{std::string(to_string(key.first)), key.second}] = name;
+  }
+  EXPECT_EQ(lane_names, want_lanes);
+  std::remove(stream.c_str());
+  std::remove(chrome.c_str());
 }
 
 TEST(ObsQuery, LoadsSinkWrittenJsonlAndSurvivesTornTrailingLine) {
   const std::string path = temp_path("query_sink.jsonl");
   {
-    JsonlStreamSink sink(path, {.buffer_events = 4});
+    TelemetrySink sink(path);
     TraceEvent e;
     e.phase = 'C';
     e.name = "margin";
@@ -198,12 +282,11 @@ TEST(ObsQuery, LoadsSinkWrittenJsonlAndSurvivesTornTrailingLine) {
       e.args = {arg("value", static_cast<double>(i))};
       sink.write(e);
     }
-    sink.finalize();
   }
   {
     // A crashed worker's torn tail: half a JSON object, no newline.
     std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "{\"domain\":\"sim\",\"ph\":\"C\",\"ts\":99,\"na";
+    out << "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"C\",\"ts\":99,\"na";
   }
   const TraceData trace = load_trace(path);
   EXPECT_EQ(trace.events.size(), 6u) << "the torn line is skipped, not fatal";
@@ -265,11 +348,13 @@ TEST(ObsQuery, JsonlWritersAreByteStable) {
 TEST(ObsQuery, InstantEventsKeepTheirArgsInSortedOrder) {
   const std::string path = temp_path("query_instant_args.jsonl");
   write_file(path,
-             "{\"domain\":\"sim\",\"ph\":\"i\",\"ts\":5,\"lane\":0,"
+             "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"i\",\"ts\":5,"
+             "\"lane\":0,"
              "\"cat\":\"decision\",\"name\":\"burst-start\","
              "\"args\":{\"id\":\"d0-1\",\"in_demand\":1.5,\"schema\":1,"
              "\"armed\":true}}\n"
-             "{\"domain\":\"sim\",\"ph\":\"C\",\"ts\":6,\"lane\":0,"
+             "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"C\",\"ts\":6,"
+             "\"lane\":0,"
              "\"name\":\"degree\",\"args\":{\"value\":2}}\n");
   const TraceData trace = load_trace(path);
   ASSERT_EQ(trace.events.size(), 2u);

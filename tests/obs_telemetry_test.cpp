@@ -1,10 +1,14 @@
-// Worker telemetry streams: crash-safe JSONL schema, the incremental tail
-// the dispatcher supervises with, and the torn-trailing-line tolerance both
-// sides rely on when workers die mid-write.
+// Telemetry streams: crash-safe JSONL schema, the incremental tail the
+// dispatcher supervises with, and the torn-trailing-line tolerance both
+// sides rely on when workers die mid-write. The ObsSink suite covers
+// TelemetrySink as the file sink behind a streaming Tracer: bounded
+// memory, Tracer forwarding, and failure reporting.
 #include "obs/telemetry.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -268,6 +272,211 @@ TEST(ObsTelemetry, TailSkipsUnknownLineTypes) {
       << "unknown types must be skipped, not fatal";
   EXPECT_EQ(tail.lines_read(), 3u);
   std::remove(path.c_str());
+}
+
+// -- TelemetrySink behind a Tracer -------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Counts the lines of `path` whose "t" is `type`.
+std::size_t count_lines(const std::string& path, const std::string& type) {
+  std::size_t n = 0;
+  for (const json::Value& line : read_lines(path)) {
+    if (line.at("t").as_string() == type) ++n;
+  }
+  return n;
+}
+
+TEST(ObsSink, StreamsManyEventsThroughSmallBufferWithBoundedMemory) {
+  const std::string path = temp_path("sink_bounded.jsonl");
+  const std::size_t kEvents = 120000;
+  {
+    TelemetrySink sink(path);
+    ASSERT_TRUE(sink.ok());
+    Tracer tracer(&sink);
+    for (std::size_t i = 0; i < kEvents; ++i) {
+      tracer.instant(Duration::seconds(static_cast<double>(i)), "test", "e");
+    }
+    // The whole point: nothing is retained in memory, every event is on
+    // its way to the file.
+    EXPECT_TRUE(tracer.events().empty());
+    EXPECT_EQ(tracer.count(Domain::kSim), kEvents);
+    EXPECT_EQ(sink.events_written(), kEvents);
+  }
+  EXPECT_EQ(count_lines(path, "ev"), kEvents);
+  std::remove(path.c_str());
+}
+
+TEST(ObsSink, FinalizeIsIdempotentAndDtorFinalizes) {
+  const std::string path = temp_path("sink_idempotent.jsonl");
+  {
+    TelemetrySink sink(path);
+    sink.write(instant_at(1.0, "once"));
+    sink.finalize();
+    sink.finalize();
+    EXPECT_TRUE(sink.ok());
+  }  // dtor closes: end marker written exactly once
+  EXPECT_EQ(count_lines(path, "ev"), 1u);
+  EXPECT_EQ(count_lines(path, "end"), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(ObsSink, JsonlSinkWritesOneParsableObjectPerLine) {
+  const std::string path = temp_path("sink_lines.jsonl");
+  {
+    TelemetrySink sink(path);
+    for (std::size_t i = 0; i < 50; ++i) {
+      sink.write(instant_at(static_cast<double>(i), "line"));
+    }
+    sink.write_lane_name(Domain::kSim, 0, "lane-zero");
+  }
+  std::size_t events = 0;
+  for (const json::Value& v : read_lines(path)) {  // every line parses
+    if (v.at("t").as_string() != "ev") continue;
+    EXPECT_EQ(v.at("name").as_string(), "line");
+    ++events;
+  }
+  EXPECT_EQ(events, 50u);
+  EXPECT_EQ(count_lines(path, "lane"), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(ObsSink, LaneNamesRenderOnceAndInterleaveSafely) {
+  const std::string path = temp_path("sink_lanes.jsonl");
+  {
+    TelemetrySink sink(path);
+    Tracer tracer(&sink);
+    tracer.name_lane(Domain::kSim, 2, "task-2");
+    tracer.instant(Duration::seconds(1), "x", "a");
+    tracer.name_lane(Domain::kSim, 2, "task-2");  // unchanged: not re-sent
+    tracer.instant(Duration::seconds(2), "x", "b");
+    tracer.name_lane(Domain::kSim, 2, "task-2b");  // a rename is
+  }
+  std::vector<std::string> order;
+  for (const json::Value& v : read_lines(path)) {
+    const std::string& t = v.at("t").as_string();
+    if (t == "ev" || t == "lane") order.push_back(v.at("name").as_string());
+  }
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"task-2", "a", "b", "task-2b"}));
+  std::remove(path.c_str());
+}
+
+TEST(ObsSink, StreamingTracerForwardsWithoutBuffering) {
+  const std::string path = temp_path("sink_tracer.jsonl");
+  {
+    TelemetrySink sink(path);
+    Tracer tracer(&sink);
+    EXPECT_EQ(tracer.sink(), &sink);
+    tracer.set_lane(5);
+    for (int i = 0; i < 100; ++i) {
+      tracer.instant(Duration::seconds(i), "cat", "streamed");
+    }
+    tracer.name_lane(Domain::kSim, 5, "lane-five");
+    // Streaming mode: nothing retained, counts still tracked.
+    EXPECT_TRUE(tracer.events().empty());
+    EXPECT_FALSE(tracer.empty());
+    EXPECT_EQ(tracer.count(Domain::kSim), 100u);
+    EXPECT_EQ(sink.events_written(), 100u);
+  }
+  EXPECT_NE(read_file(path).find("lane-five"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ObsSink, MergeIntoStreamingTracerDrainsBufferedSource) {
+  const std::string path = temp_path("sink_merge.jsonl");
+  {
+    TelemetrySink sink(path);
+    Tracer merged(&sink);
+    Tracer task;
+    task.set_lane(1);
+    task.instant(Duration::seconds(1), "x", "from-task");
+    task.name_lane(Domain::kSim, 1, "task-1");
+    merged.merge_from(std::move(task));
+    EXPECT_TRUE(task.empty());  // NOLINT(bugprone-use-after-move): contract
+    EXPECT_EQ(merged.count(Domain::kSim), 1u);
+    EXPECT_EQ(sink.events_written(), 1u);
+  }
+  const std::string text = read_file(path);
+  EXPECT_NE(text.find("from-task"), std::string::npos);
+  EXPECT_NE(text.find("task-1"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+/// Caps the process's file size (RLIMIT_FSIZE) with SIGXFSZ ignored, so
+/// writes past the cap fail with EFBIG the way a full disk fails them with
+/// ENOSPC; restores both on scope exit.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = saved_;
+    capped.rlim_cur = bytes;
+    active_ = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  [[nodiscard]] bool active() const noexcept { return active_; }
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = nullptr;
+  bool active_ = false;
+};
+
+TEST(ObsSink, StreamFailureMidRunDropsSinkToNotOk) {
+  // The sink opens fine, then a buffer flush fails mid-run. ok() must flip
+  // at that flush boundary, not stay healthy until close().
+  const std::string path = temp_path("sink_midrun.jsonl");
+  std::remove(path.c_str());
+  constexpr rlim_t kCap = 32 * 1024;
+  std::size_t accepted = 0;
+  {
+    const FileSizeCap cap(kCap);
+    if (!cap.active()) GTEST_SKIP() << "cannot cap the file size here";
+    TelemetrySink sink(path);
+    ASSERT_TRUE(sink.ok()) << "the header fits under the cap";
+    for (; accepted < 100000 && sink.ok(); ++accepted) {
+      sink.write(instant_at(static_cast<double>(accepted), "doomed"));
+    }
+    EXPECT_FALSE(sink.ok()) << "the failed flush must drop the sink state";
+    // Each line is ~80 bytes: ok() flips within about one file buffer of
+    // crossing the cap.
+    EXPECT_LE(accepted, (kCap + 16 * 1024) / 64);
+    const std::size_t written = sink.events_written();
+    sink.write(instant_at(1e9, "after-failure"));  // dropped, no crash
+    EXPECT_EQ(sink.events_written(), written);
+    sink.heartbeat("late", 1, 2);
+    sink.close();  // must not crash, and writes no end marker
+    EXPECT_FALSE(sink.ok());
+  }
+  EXPECT_EQ(read_file(path).find("\"t\":\"end\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ObsSink, UnwritablePathReportsNotOk) {
+  TelemetrySink missing("/nonexistent-dir/trace.jsonl");
+  EXPECT_FALSE(missing.ok());
+  missing.write(instant_at(1.0, "dropped"));
+  missing.finalize();  // must not crash
+  // /dev/full opens, but the header flush at open already fails.
+  if (std::ofstream("/dev/full").is_open()) {
+    TelemetrySink full("/dev/full");
+    EXPECT_FALSE(full.ok());
+    full.write(instant_at(1.0, "dropped"));
+    EXPECT_EQ(full.events_written(), 0u);
+    full.close();
+  }
 }
 
 }  // namespace

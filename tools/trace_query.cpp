@@ -1,6 +1,8 @@
-// Offline trace analysis CLI over the repo's trace encodings (Chrome JSON,
-// trace/telemetry JSONL, merged timeline.jsonl). Usage:
+// Offline trace analysis CLI over telemetry-schema JSONL streams (a
+// bench's `*_trace.jsonl`, a telemetry= stream, the dispatcher's merged
+// timeline.jsonl). Usage:
 //
+//   trace_query export    <stream> [--chrome=PATH] [--perfetto=PATH]
 //   trace_query scopes    <trace> [output] [--require-rows=N]
 //   trace_query counters  <trace> [output] [--require-rows=N]
 //   trace_query threshold <trace> --track=NAME --threshold=V
@@ -16,6 +18,11 @@
 //                         [--require-monotone=TRACK]
 //
 //   output: --csv[=path] | --jsonl[=path]   (default: readable table)
+//
+// `export` renders a stream's Chrome trace-event JSON (Perfetto UI /
+// chrome://tracing) and Perfetto protobuf (trace_processor SQL) views
+// through the exp/timeline merger — the only place those encodings are
+// produced.
 //
 // `scopes` prints duration stats per (src, span name); `counters` prints
 // value stats per (src, counter track); `threshold` extracts the maximal
@@ -51,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/timeline.h"
 #include "obs/query.h"
 #include "util/json.h"
 
@@ -75,13 +83,17 @@ struct Args {
   bool require_resolved = false;
   std::vector<std::string> require_rule;      // NAME or NAME:N
   std::vector<std::string> require_monotone;  // counter track names
+  std::string chrome;    // export: Chrome JSON output path
+  std::string perfetto;  // export: Perfetto protobuf output path
 };
 
 int usage() {
   std::cerr
       << "usage: trace_query "
-         "<scopes|counters|threshold|slo|decisions|explain|audit> <trace> "
-         "[options]\n"
+         "<export|scopes|counters|threshold|slo|decisions|explain|audit> "
+         "<trace> [options]\n"
+         "  --chrome=PATH          Chrome trace JSON output (export)\n"
+         "  --perfetto=PATH        Perfetto protobuf output (export)\n"
          "  --csv[=path]           CSV output (default: readable table)\n"
          "  --jsonl[=path]         JSONL output\n"
          "  --track=NAME           counter track (threshold)\n"
@@ -155,6 +167,10 @@ bool parse(int argc, char** argv, Args* args) {
       args->require_rule.push_back(value);
     } else if (value_of("--require-monotone=", &value)) {
       args->require_monotone.push_back(value);
+    } else if (value_of("--chrome=", &value)) {
+      args->chrome = value;
+    } else if (value_of("--perfetto=", &value)) {
+      args->perfetto = value;
     } else {
       std::cerr << "trace_query: unknown option " << arg << "\n";
       return false;
@@ -317,11 +333,36 @@ int check_assertions(const Args& args, const query::TraceData& trace,
   return rc;
 }
 
+/// `export`: one stream through the timeline merger, untagged so the views
+/// keep plain "sim"/"wall" process names.
+int run_export(const Args& args) {
+  if (args.chrome.empty() && args.perfetto.empty()) {
+    std::cerr << "trace_query: export needs --chrome=PATH and/or "
+                 "--perfetto=PATH\n";
+    return 2;
+  }
+  if (!std::ifstream(args.trace)) {
+    std::cerr << "trace_query: cannot read trace " << args.trace << "\n";
+    return 2;
+  }
+  dcs::exp::TimelineOutputs outputs;
+  outputs.chrome = args.chrome;
+  outputs.perfetto = args.perfetto;
+  const dcs::exp::TimelineSummary summary =
+      dcs::exp::merge_streams({{args.trace, ""}}, outputs);
+  if (!summary.ok()) {
+    std::cerr << "trace_query: " << summary.error << "\n";
+    return 2;
+  }
+  return finish(args, summary.events);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, &args)) return usage();
+  if (args.command == "export") return run_export(args);
 
   try {
     const query::TraceData trace = query::load_trace(args.trace);
