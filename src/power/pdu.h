@@ -45,6 +45,7 @@ class Pdu {
   [[nodiscard]] Battery& ups() noexcept { return ups_; }
   [[nodiscard]] const Battery& ups() const noexcept { return ups_; }
 
+  [[nodiscard]] const Params& params() const noexcept { return params_; }
   [[nodiscard]] std::size_t server_count() const noexcept { return params_.server_count; }
   /// Grid power drawn in the most recent step.
   [[nodiscard]] Power last_grid_load() const noexcept { return last_grid_load_; }

@@ -3,56 +3,48 @@
 #include <cstring>
 
 #include "util/check.h"
+#include "util/repeated_sum.h"
 
 namespace dcs::power {
 
 PowerTopology::PowerTopology(const Params& params)
-    : dc_breaker_("dc/cb", params.dc_breaker) {
+    : pdu_count_(params.pdu_count),
+      rep_("pdu0", params.pdu),
+      dc_breaker_("dc/cb", params.dc_breaker) {
   DCS_REQUIRE(params.pdu_count > 0, "need at least one PDU");
-  pdus_.reserve(params.pdu_count);
-  for (std::size_t i = 0; i < params.pdu_count; ++i) {
-    pdus_.emplace_back("pdu" + std::to_string(i), params.pdu);
-  }
-  breaker_states_.resize(params.pdu_count);
-  battery_states_.resize(params.pdu_count);
-  rebind_states();
 }
 
+// Copying keeps the source's build and refresh state: an unbuilt source
+// copies as one representative, and a built one copies its slots as they
+// are (stale slots are refreshed on the copy's first read, as on the
+// source's).
 PowerTopology::PowerTopology(const PowerTopology& other)
-    : dc_breaker_(other.dc_breaker_) {
-  other.materialize();
-  pdus_ = other.pdus_;
-  breaker_states_.resize(pdus_.size());
-  battery_states_.resize(pdus_.size());
-  uniform_ = other.uniform_;
-  materialized_ = true;
-  grid_sum_ = other.grid_sum_;
-  ups_sum_ = other.ups_sum_;
-  avail_sum_ = other.avail_sum_;
-  capacity_sum_ = other.capacity_sum_;
+    : pdu_count_(other.pdu_count_),
+      rep_(other.rep_),
+      pdus_(other.pdus_),
+      breaker_states_(other.pdus_.size()),
+      battery_states_(other.pdus_.size()),
+      dc_breaker_(other.dc_breaker_),
+      uniform_(other.uniform_),
+      materialized_(other.materialized_),
+      grid_sum_(other.grid_sum_),
+      ups_sum_(other.ups_sum_),
+      avail_sum_(other.avail_sum_),
+      capacity_sum_(other.capacity_sum_) {
+  // The copied Pdus own copies of the source's slot values; bind them into
+  // this topology's pools.
   rebind_states();
 }
 
 PowerTopology& PowerTopology::operator=(const PowerTopology& other) {
-  if (this != &other) {
-    other.materialize();
-    pdus_ = other.pdus_;
-    breaker_states_.resize(pdus_.size());
-    battery_states_.resize(pdus_.size());
-    dc_breaker_ = other.dc_breaker_;
-    uniform_ = other.uniform_;
-    materialized_ = true;
-    grid_sum_ = other.grid_sum_;
-    ups_sum_ = other.ups_sum_;
-    avail_sum_ = other.avail_sum_;
-    capacity_sum_ = other.capacity_sum_;
-    rebind_states();
-  }
+  if (this != &other) *this = PowerTopology(other);
   return *this;
 }
 
 PowerTopology::PowerTopology(PowerTopology&& other) noexcept
-    : pdus_(std::move(other.pdus_)),
+    : pdu_count_(other.pdu_count_),
+      rep_(std::move(other.rep_)),
+      pdus_(std::move(other.pdus_)),
       breaker_states_(std::move(other.breaker_states_)),
       battery_states_(std::move(other.battery_states_)),
       dc_breaker_(std::move(other.dc_breaker_)),
@@ -69,6 +61,8 @@ PowerTopology::PowerTopology(PowerTopology&& other) noexcept
 
 PowerTopology& PowerTopology::operator=(PowerTopology&& other) noexcept {
   if (this != &other) {
+    pdu_count_ = other.pdu_count_;
+    rep_ = std::move(other.rep_);
     pdus_ = std::move(other.pdus_);
     breaker_states_ = std::move(other.breaker_states_);
     battery_states_ = std::move(other.battery_states_);
@@ -84,7 +78,7 @@ PowerTopology& PowerTopology::operator=(PowerTopology&& other) noexcept {
   return *this;
 }
 
-void PowerTopology::rebind_states() noexcept {
+void PowerTopology::rebind_states() const noexcept {
   for (std::size_t i = 0; i < pdus_.size(); ++i) {
     pdus_[i].bind_states(&breaker_states_[i], &battery_states_[i]);
   }
@@ -92,13 +86,20 @@ void PowerTopology::rebind_states() noexcept {
 
 void PowerTopology::materialize() const {
   if (materialized_) return;
-  for (std::size_t i = 1; i < pdus_.size(); ++i) {
-    pdus_[i].copy_dynamic_state_from(pdus_[0]);
+  if (pdus_.empty()) {
+    pdus_.reserve(pdu_count_);
+    for (std::size_t i = 0; i < pdu_count_; ++i) {
+      pdus_.emplace_back("pdu" + std::to_string(i), rep_.params());
+    }
+    breaker_states_.resize(pdu_count_);
+    battery_states_.resize(pdu_count_);
+    rebind_states();
   }
+  for (Pdu& p : pdus_) p.copy_dynamic_state_from(rep_);
   materialized_ = true;
 }
 
-std::vector<Pdu>& PowerTopology::pdus() noexcept {
+std::vector<Pdu>& PowerTopology::pdus() {
   materialize();
   uniform_ = false;
   return pdus_;
@@ -110,14 +111,9 @@ const std::vector<Pdu>& PowerTopology::pdus() const {
 }
 
 const Pdu& PowerTopology::pdu(std::size_t i) const {
-  if (i != 0) materialize();
+  if (uniform_ && i == 0) return rep_;
+  materialize();
   return pdus_[i];
-}
-
-std::size_t PowerTopology::server_count() const noexcept {
-  std::size_t n = 0;
-  for (const Pdu& p : pdus_) n += p.server_count();
-  return n;
 }
 
 double PowerTopology::uniform_sum(SumMemo& memo, double value) const {
@@ -125,12 +121,8 @@ double PowerTopology::uniform_sum(SumMemo& memo, double value) const {
   static_assert(sizeof(bits) == sizeof(value));
   std::memcpy(&bits, &value, sizeof(bits));
   if (!memo.valid || memo.value_bits != bits) {
-    // Same sequential accumulation the per-PDU walk performs, so the memo is
-    // bit-identical to summing the materialized pool.
-    double sum = 0.0;
-    for (std::size_t i = 0; i < pdus_.size(); ++i) sum += value;
     memo.value_bits = bits;
-    memo.sum = sum;
+    memo.sum = repeated_sum(value, pdu_count_);
     memo.valid = true;
   }
   return memo.sum;
@@ -140,7 +132,7 @@ Flows PowerTopology::step_uniform(Power server_power_per_pdu,
                                   Power ups_request_per_pdu,
                                   Power cooling_power, Duration dt) {
   if (uniform_) {
-    pdus_[0].step(server_power_per_pdu, ups_request_per_pdu, dt);
+    rep_.step(server_power_per_pdu, ups_request_per_pdu, dt);
     materialized_ = false;
     return finish_step_uniform(cooling_power, dt);
   }
@@ -151,11 +143,11 @@ Flows PowerTopology::step_uniform(Power server_power_per_pdu,
 Flows PowerTopology::step(const std::vector<Power>& server_power,
                           const std::vector<Power>& ups_request,
                           Power cooling_power, Duration dt) {
-  DCS_REQUIRE(server_power.size() == pdus_.size(), "one server power per PDU");
-  DCS_REQUIRE(ups_request.size() == pdus_.size(), "one ups request per PDU");
+  DCS_REQUIRE(server_power.size() == pdu_count_, "one server power per PDU");
+  DCS_REQUIRE(ups_request.size() == pdu_count_, "one ups request per PDU");
   materialize();
   uniform_ = false;
-  for (std::size_t i = 0; i < pdus_.size(); ++i) {
+  for (std::size_t i = 0; i < pdu_count_; ++i) {
     pdus_[i].step(server_power[i], ups_request[i], dt);
   }
   return finish_step(cooling_power, dt);
@@ -165,7 +157,7 @@ Flows PowerTopology::recharge_uniform(Power server_power_per_pdu,
                                       Power recharge_per_pdu,
                                       Power cooling_power, Duration dt) {
   if (uniform_) {
-    pdus_[0].recharge_step(server_power_per_pdu, recharge_per_pdu, dt);
+    rep_.recharge_step(server_power_per_pdu, recharge_per_pdu, dt);
     materialized_ = false;
     return finish_step_uniform(cooling_power, dt);
   }
@@ -190,11 +182,10 @@ Flows PowerTopology::finish_step(Power cooling_power, Duration dt) {
 
 Flows PowerTopology::finish_step_uniform(Power cooling_power, Duration dt) {
   DCS_REQUIRE(cooling_power >= Power::zero(), "cooling power must be non-negative");
-  const Pdu& rep = pdus_[0];
   Flows flows{};
-  flows.pdu_grid_total = Power::watts(uniform_sum(grid_sum_, rep.last_grid_load().w()));
-  flows.ups_total = Power::watts(uniform_sum(ups_sum_, rep.last_ups_power().w()));
-  flows.any_pdu_tripped = rep.breaker().tripped();
+  flows.pdu_grid_total = Power::watts(uniform_sum(grid_sum_, rep_.last_grid_load().w()));
+  flows.ups_total = Power::watts(uniform_sum(ups_sum_, rep_.last_ups_power().w()));
+  flows.any_pdu_tripped = rep_.breaker().tripped();
   flows.cooling = cooling_power;
   flows.dc_load = flows.pdu_grid_total + cooling_power;
   dc_breaker_.apply_load(flows.dc_load, dt);
@@ -204,7 +195,7 @@ Flows PowerTopology::finish_step_uniform(Power cooling_power, Duration dt) {
 
 Energy PowerTopology::ups_available() const {
   if (uniform_) {
-    return Energy::joules(uniform_sum(avail_sum_, pdus_[0].ups().available().j()));
+    return Energy::joules(uniform_sum(avail_sum_, rep_.ups().available().j()));
   }
   Energy total = Energy::zero();
   for (const Pdu& p : pdus_) total += p.ups().available();
@@ -214,11 +205,11 @@ Energy PowerTopology::ups_available() const {
 Energy PowerTopology::ups_capacity() const {
   // Capacity ignores injected fade, and all banks are built from identical
   // params, so this sum is constant for the lifetime of the topology.
-  return Energy::joules(uniform_sum(capacity_sum_, pdus_[0].ups().capacity().j()));
+  return Energy::joules(uniform_sum(capacity_sum_, rep_.ups().capacity().j()));
 }
 
 double PowerTopology::max_pdu_breaker_heat() const {
-  if (uniform_) return pdus_[0].breaker().thermal_state();
+  if (uniform_) return rep_.breaker().thermal_state();
   double max_heat = 0.0;
   for (const Pdu& p : pdus_) {
     max_heat = std::max(max_heat, p.breaker().thermal_state());
@@ -231,8 +222,8 @@ void PowerTopology::set_fault_all(double breaker_rating_factor,
                                   double ups_availability,
                                   double ups_capacity_factor) {
   if (uniform_) {
-    pdus_[0].breaker().set_fault(breaker_rating_factor, breaker_trip_bias);
-    pdus_[0].ups().set_fault(ups_availability, ups_capacity_factor);
+    rep_.breaker().set_fault(breaker_rating_factor, breaker_trip_bias);
+    rep_.ups().set_fault(ups_availability, ups_capacity_factor);
     materialized_ = false;
     return;
   }
@@ -245,7 +236,7 @@ void PowerTopology::set_fault_all(double breaker_rating_factor,
 void PowerTopology::reset_breakers() {
   dc_breaker_.reset();
   if (uniform_) {
-    pdus_[0].breaker().reset();
+    rep_.breaker().reset();
     materialized_ = false;
     return;
   }

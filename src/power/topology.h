@@ -2,21 +2,28 @@
 // (DC level) feeding identical PDU groups, with the cooling plant hanging
 // off the DC level (paper Fig. 4).
 //
-// State layout: the mutable breaker/bank state of every PDU lives in two
-// contiguous structure-of-arrays pools owned by the topology; each Pdu's
-// CircuitBreaker/Battery is a thin view bound into its slot. On top of that
-// the topology exploits the paper's homogeneous fleet: the uniform kernels
-// (`step_uniform`, `recharge_uniform`) advance only PDU 0 — the
-// *representative* — and the remaining slots are materialized (bulk-copied
-// from the representative) only when a caller actually asks for per-PDU
-// state. The skewed-load path (`step` with per-PDU vectors, or mutation via
-// the non-const `pdus()` accessor) permanently drops the topology out of
-// uniform mode and every kernel then walks the full pools.
+// Uniform mode: the paper's fleet is homogeneous, so while every PDU sees
+// the same load the topology holds one *representative* Pdu and advances
+// only it (`step_uniform`, `recharge_uniform`, `set_fault_all`,
+// `reset_breakers`). Fleet totals over n identical PDUs come from
+// `repeated_sum` (util/repeated_sum.h), which returns the exact bits of the
+// per-PDU walk's sequential loop in O(log n) steps, memoized per summand.
+// A uniform step's cost therefore grows with log n, not with n.
+//
+// Lazy pools: the per-PDU Pdu objects and the two contiguous
+// structure-of-arrays pools holding their breaker/bank state (each Pdu's
+// CircuitBreaker/Battery is a thin view bound into its slot) are built on
+// the first read that needs them, `pdu(i)` for i != 0 or `pdus()`, and
+// their slots are refreshed from the representative whenever it has moved
+// on since. A run that never asks for per-PDU state never builds them, and
+// copying or moving such a topology stays as cheap. The skewed-load path
+// (`step` with per-PDU vectors, or mutation via the non-const `pdus()`
+// accessor) permanently drops the topology out of uniform mode and every
+// kernel then walks the full pools.
 //
 // Bit-identity contract: every fast path reproduces the exact floating-point
-// results of the plain per-PDU walk (sums over n identical values are
-// memoized but recomputed with the same sequential loop whenever the value
-// changes), so a uniform run is byte-identical to a materialized one.
+// results of the plain per-PDU walk, so a uniform run is byte-identical to a
+// materialized one.
 #pragma once
 
 #include <cstddef>
@@ -77,18 +84,22 @@ class PowerTopology {
 
   /// Mutable per-PDU access: materializes and permanently leaves uniform
   /// mode (callers may skew individual PDUs). Prefer `pdu(i)` for reads.
-  [[nodiscard]] std::vector<Pdu>& pdus() noexcept;
+  [[nodiscard]] std::vector<Pdu>& pdus();
   /// Read access to the full PDU list; materializes lazily but stays in
   /// uniform mode.
   [[nodiscard]] const std::vector<Pdu>& pdus() const;
-  /// Read access to one PDU. `pdu(0)` is always cheap (the representative);
-  /// other indices materialize first.
+  /// Read access to one PDU. `pdu(0)` is always cheap (the representative
+  /// while uniform); other indices materialize first. A reference to the
+  /// representative stays valid until the topology leaves uniform mode.
   [[nodiscard]] const Pdu& pdu(std::size_t i) const;
   /// True while all PDUs provably share the representative's state.
   [[nodiscard]] bool uniform() const noexcept { return uniform_; }
 
-  [[nodiscard]] std::size_t pdu_count() const noexcept { return pdus_.size(); }
-  [[nodiscard]] std::size_t server_count() const noexcept;
+  [[nodiscard]] std::size_t pdu_count() const noexcept { return pdu_count_; }
+  /// All PDUs are built from the same params.
+  [[nodiscard]] std::size_t server_count() const noexcept {
+    return pdu_count_ * rep_.server_count();
+  }
 
   /// Total UPS energy still available across all PDU banks.
   [[nodiscard]] Energy ups_available() const;
@@ -106,29 +117,38 @@ class PowerTopology {
   void reset_breakers();
 
  private:
-  /// Memo for a sequential sum of `pdu_count` identical doubles: replays the
-  /// exact per-PDU accumulation loop when the summand changes and reuses the
-  /// result (bit-identical) while it doesn't.
+  /// Memo for a sequential sum of `pdu_count` identical doubles: recomputes
+  /// it with `repeated_sum` when the summand changes and reuses the result
+  /// while it doesn't.
   struct SumMemo {
     std::uint64_t value_bits = 0;
     double sum = 0.0;
     bool valid = false;
   };
 
-  void rebind_states() noexcept;
+  void rebind_states() const noexcept;
+  /// Builds the pools on first use and brings every slot up to the
+  /// representative's state.
   void materialize() const;
   [[nodiscard]] double uniform_sum(SumMemo& memo, double value) const;
   Flows finish_step(Power cooling_power, Duration dt);
   Flows finish_step_uniform(Power cooling_power, Duration dt);
 
+  std::size_t pdu_count_;
+  // Authoritative for every PDU while uniform_; stale once the topology
+  // leaves uniform mode, after which pdus_ holds each PDU's own state.
+  Pdu rep_;
   // The uniform kernels mutate only the representative, so const readers
-  // must be able to materialize the rest of the pools on demand.
+  // must be able to build and refresh the pools on demand. Empty until the
+  // first materialization.
   mutable std::vector<Pdu> pdus_;
   mutable std::vector<CircuitBreaker::State> breaker_states_;
   mutable std::vector<Battery::State> battery_states_;
   CircuitBreaker dc_breaker_;
   bool uniform_ = true;
-  mutable bool materialized_ = true;
+  // True while every pool slot matches the representative (or, outside
+  // uniform mode, always).
+  mutable bool materialized_ = false;
   mutable SumMemo grid_sum_;
   mutable SumMemo ups_sum_;
   mutable SumMemo avail_sum_;

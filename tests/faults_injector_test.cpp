@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/config.h"
 #include "faults/fault.h"
 #include "faults/schedule.h"
 #include "faults/watchdog.h"
+#include "obs/trace.h"
 #include "power/generator.h"
 #include "power/topology.h"
 #include "thermal/cooling_plant.h"
@@ -338,6 +341,70 @@ TEST(Watchdog, FlagsUpsBelowReserveFloor) {
   dog.check(Duration::seconds(3), p.topology, room, &p.tes);
   EXPECT_FALSE(dog.report().ok());
   EXPECT_NE(dog.report().first_message.find("SoC"), std::string::npos);
+}
+
+// A uniform topology that never built its per-PDU pools still reports every
+// violating PDU by name: the violation walk materializes them.
+std::vector<std::string> violation_messages(const obs::Tracer& tracer) {
+  std::vector<std::string> out;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.name != "violation") continue;
+    for (const obs::TraceArg& a : e.args) {
+      if (a.key == "message") out.push_back(a.value);
+    }
+  }
+  return out;
+}
+
+bool names_pdu(const std::vector<std::string>& messages, const std::string& name) {
+  const std::string quoted = "'" + name + "'";
+  for (const std::string& m : messages) {
+    if (m.find(quoted) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(Watchdog, UniformTopologyViolationsNameEveryPdu) {
+  core::DataCenterConfig config = small_config();
+  config.fleet.pdu_count = 5;
+  const thermal::RoomModel room(config.room_params());
+  const thermal::TesTank tes{"tes", config.tes_params()};
+
+  power::PowerTopology tripped{config.topology_params()};
+  const Power rated = tripped.pdu(0).breaker().rated();
+  for (int i = 0; i < 600 && !tripped.pdu(0).breaker().tripped(); ++i) {
+    (void)tripped.step_uniform(rated * 2.0, Power::zero(), Power::zero(),
+                               Duration::seconds(1));
+  }
+  ASSERT_TRUE(tripped.uniform());
+  ASSERT_TRUE(tripped.pdu(0).breaker().tripped());
+  obs::Tracer cb_tracer;
+  Watchdog cb_dog({.ups_floor = 0.0, .check_room = false});
+  cb_dog.set_tracer(&cb_tracer);
+  cb_dog.check(Duration::seconds(9), tripped, room, &tes);
+  const std::vector<std::string> cb_messages = violation_messages(cb_tracer);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(names_pdu(cb_messages, "pdu" + std::to_string(i) + "/cb")) << i;
+  }
+  EXPECT_FALSE(names_pdu(cb_messages, "pdu5/cb"));
+
+  power::PowerTopology drained{config.topology_params()};
+  const Power max_dis = drained.pdu(0).ups().max_discharge();
+  for (int i = 0; i < 10000 && drained.pdu(0).ups().soc() > 0.4; ++i) {
+    (void)drained.step_uniform(max_dis, max_dis, Power::zero(),
+                               Duration::seconds(1));
+  }
+  ASSERT_TRUE(drained.uniform());
+  ASSERT_LT(drained.pdu(0).ups().soc(), 0.4);
+  obs::Tracer ups_tracer;
+  Watchdog ups_dog({.ups_floor = 0.5, .check_breakers = false, .check_room = false});
+  ups_dog.set_tracer(&ups_tracer);
+  ups_dog.check(Duration::seconds(9), drained, room, &tes);
+  const std::vector<std::string> ups_messages = violation_messages(ups_tracer);
+  EXPECT_EQ(ups_messages.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(names_pdu(ups_messages, "pdu" + std::to_string(i) + "/ups")) << i;
+  }
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "power/pdu.h"
 #include "power/topology.h"
+#include "util/rng.h"
 
 namespace dcs::power {
 namespace {
@@ -232,6 +234,157 @@ TEST(PowerTopology, CopyPreservesStateAndIndependence) {
   EXPECT_GT(moved.pdu(0).breaker().thermal_state(), 0.0);
   moved.step_uniform(Power::kilowatts(10), Power::zero(), Power::zero(),
                      Duration::seconds(1));
+}
+
+// Paper-scale uniform equivalence: 909 PDUs and non-round per-tick loads, so
+// the fleet totals round on many ticks (whole-kW loads over 4 PDUs
+// never do). Covers UPS discharge, a recharge stretch and a set_fault_all
+// edge, and compares against a de-uniformed topology bit for bit.
+TEST(PowerTopology, UniformMatchesMaterializedWalkAtPaperScale) {
+  PowerTopology fast(topo_params(909));
+  PowerTopology slow(topo_params(909));
+  (void)slow.pdus();
+  ASSERT_FALSE(slow.uniform());
+  Rng rng(909);
+  const Duration dt = Duration::seconds(1);
+  int rounded_ticks = 0;
+  for (int tick = 0; tick < 240; ++tick) {
+    if (tick == 60) {
+      fast.set_fault_all(0.93, 0.04, 0.7, 0.85);
+      slow.set_fault_all(0.93, 0.04, 0.7, 0.85);
+    }
+    if (tick == 150) {
+      fast.set_fault_all(1.0, 0.0, 1.0, 1.0);
+      slow.set_fault_all(1.0, 0.0, 1.0, 1.0);
+    }
+    const Power server = Power::watts(rng.uniform(7000.0, 16500.0));
+    const Power cooling = Power::watts(rng.uniform(1.0e5, 1.2e6));
+    const bool recharge = tick >= 120 && tick < 180;
+    const Power request =
+        recharge ? Power::watts(rng.uniform(50.0, 900.0))
+                 : (tick % 3 == 0 ? Power::zero()
+                                  : Power::watts(rng.uniform(0.0, 6000.0)));
+    const Flows a = recharge ? fast.recharge_uniform(server, request, cooling, dt)
+                             : fast.step_uniform(server, request, cooling, dt);
+    const Flows b = recharge ? slow.recharge_uniform(server, request, cooling, dt)
+                             : slow.step_uniform(server, request, cooling, dt);
+    ASSERT_EQ(bits(a.pdu_grid_total.w()), bits(b.pdu_grid_total.w())) << tick;
+    ASSERT_EQ(bits(a.ups_total.w()), bits(b.ups_total.w())) << tick;
+    ASSERT_EQ(bits(a.dc_load.w()), bits(b.dc_load.w())) << tick;
+    ASSERT_EQ(a.any_pdu_tripped, b.any_pdu_tripped) << tick;
+    ASSERT_EQ(a.dc_tripped, b.dc_tripped) << tick;
+    ASSERT_EQ(bits(fast.ups_available().j()), bits(slow.ups_available().j())) << tick;
+    ASSERT_EQ(bits(fast.ups_capacity().j()), bits(slow.ups_capacity().j())) << tick;
+    const double product = fast.pdu(0).last_grid_load().w() * 909.0;
+    if (bits(a.pdu_grid_total.w()) != bits(product)) ++rounded_ticks;
+  }
+  EXPECT_TRUE(fast.uniform());
+  // The sequential sum must have drifted from the product on many ticks, or
+  // this test would not be exercising the rounding it claims to.
+  EXPECT_GT(rounded_ticks, 100);
+}
+
+TEST(PowerTopology, CopyAndMoveOfUnbuiltTopologyStayIndependent) {
+  const Duration dt = Duration::seconds(1);
+  PowerTopology topo(topo_params(16));
+  PowerTopology ref(topo_params(16));
+  for (PowerTopology* t : {&topo, &ref}) {
+    (void)t->step_uniform(Power::kilowatts(12.5), Power::kilowatts(3.25),
+                          Power::kilowatts(7), dt);
+  }
+  PowerTopology copy = topo;
+  PowerTopology staged = topo;
+  PowerTopology moved = std::move(staged);
+  PowerTopology assigned(topo_params(3));
+  assigned = topo;
+  PowerTopology move_assigned(topo_params(3));
+  staged = topo;
+  move_assigned = std::move(staged);
+  // Each stepped differently; none may disturb the source or each other.
+  (void)copy.step_uniform(Power::kilowatts(16), Power::zero(), Power::zero(), dt);
+  (void)moved.step_uniform(Power::kilowatts(14), Power::kilowatts(9),
+                           Power::zero(), dt);
+  (void)assigned.recharge_uniform(Power::kilowatts(8), Power::kilowatts(0.4),
+                                  Power::zero(), dt);
+  (void)move_assigned.step_uniform(Power::kilowatts(9), Power::zero(),
+                                   Power::zero(), dt);
+  (void)topo.step_uniform(Power::kilowatts(11), Power::kilowatts(1),
+                          Power::kilowatts(7), dt);
+  (void)ref.step_uniform(Power::kilowatts(11), Power::kilowatts(1),
+                         Power::kilowatts(7), dt);
+  EXPECT_EQ(assigned.pdu_count(), 16u);
+  EXPECT_EQ(move_assigned.pdu_count(), 16u);
+  EXPECT_EQ(bits(topo.ups_available().j()), bits(ref.ups_available().j()));
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(bits(topo.pdu(i).breaker().thermal_state()),
+              bits(ref.pdu(i).breaker().thermal_state()));
+    EXPECT_EQ(bits(topo.pdu(i).ups().soc()), bits(ref.pdu(i).ups().soc()));
+  }
+  // Breaker heat and bank energy together tell the five apart.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> states;
+  for (const PowerTopology* t : {&topo, &copy, &moved, &assigned, &move_assigned}) {
+    states.emplace_back(bits(t->pdu(0).breaker().thermal_state()),
+                        bits(t->pdu(0).ups().stored().j()));
+  }
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    for (std::size_t j = i + 1; j < states.size(); ++j) {
+      EXPECT_NE(states[i], states[j]) << i << " vs " << j;
+    }
+  }
+  // Every slot of each copy follows that copy's own representative.
+  for (const PowerTopology* t : {&copy, &moved, &assigned, &move_assigned}) {
+    for (std::size_t i = 1; i < 16; ++i) {
+      EXPECT_EQ(bits(t->pdu(i).breaker().thermal_state()),
+                bits(t->pdu(0).breaker().thermal_state()));
+      EXPECT_EQ(bits(t->pdu(i).ups().soc()), bits(t->pdu(0).ups().soc()));
+    }
+  }
+}
+
+TEST(PowerTopology, LateMaterializationMatchesDeUniformedWalk) {
+  const Duration dt = Duration::seconds(1);
+  PowerTopology fast(topo_params(32));
+  PowerTopology slow(topo_params(32));
+  (void)slow.pdus();
+  const auto advance = [&](int ticks, double base_w) {
+    for (int k = 0; k < ticks; ++k) {
+      const Power server = Power::watts(base_w + 37.3 * k);
+      const Power ups = Power::watts(1234.5 + 11.1 * k);
+      (void)fast.step_uniform(server, ups, Power::kilowatts(40), dt);
+      (void)slow.step_uniform(server, ups, Power::kilowatts(40), dt);
+    }
+  };
+  const PowerTopology& fast_view = fast;  // const reads keep uniform mode
+  const auto expect_slots_match = [&] {
+    ASSERT_EQ(fast_view.pdus().size(), slow.pdus().size());
+    for (std::size_t i = 0; i < fast.pdu_count(); ++i) {
+      const Pdu& a = fast_view.pdus()[i];
+      const Pdu& b = slow.pdus()[i];
+      EXPECT_EQ(a.name(), b.name());
+      EXPECT_EQ(a.breaker().name(), b.breaker().name());
+      EXPECT_EQ(a.ups().name(), b.ups().name());
+      EXPECT_EQ(bits(a.breaker().thermal_state()), bits(b.breaker().thermal_state()));
+      EXPECT_EQ(a.breaker().tripped(), b.breaker().tripped());
+      EXPECT_EQ(bits(a.breaker().effective_rated().w()),
+                bits(b.breaker().effective_rated().w()));
+      EXPECT_EQ(bits(a.ups().stored().j()), bits(b.ups().stored().j()));
+      EXPECT_EQ(bits(a.ups().max_discharge().w()), bits(b.ups().max_discharge().w()));
+      EXPECT_EQ(bits(a.ups().total_discharged().j()),
+                bits(b.ups().total_discharged().j()));
+      EXPECT_EQ(bits(a.last_grid_load().w()), bits(b.last_grid_load().w()));
+      EXPECT_EQ(bits(a.last_ups_power().w()), bits(b.last_ups_power().w()));
+    }
+  };
+  advance(50, 14100.25);
+  fast.set_fault_all(0.9, 0.05, 0.6, 0.8);
+  slow.set_fault_all(0.9, 0.05, 0.6, 0.8);
+  advance(7, 9000.5);
+  expect_slots_match();  // first materialization builds the pools
+  EXPECT_EQ(fast.pdu(31).name(), "pdu31");
+  EXPECT_TRUE(fast.uniform());
+  advance(20, 12000.75);  // built pools go stale, then refresh on read
+  expect_slots_match();
+  EXPECT_TRUE(fast.uniform());
 }
 
 TEST(PowerTopology, RequiresAtLeastOnePdu) {
