@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/zonal_controller.h"
+#include "core/datacenter.h"
 #include "obs/counters.h"
 #include "sim/recorder.h"
 #include "util/table.h"
@@ -22,9 +22,11 @@ int main(int argc, char** argv) {
   bench::telemetry_setup(args, "ablation_zonal");
   const bool tracing = bench::tracing_enabled(args);
 
-  // Per-scenario counter lanes: each zonal run records its per-zone
+  // Per-scenario counter lanes: each zoned run records its per-zone
   // channels into its own recorder, exported as one named lane so Perfetto
   // shows every zone's breaker margin / degree / UPS state side by side.
+  RunOptions options;
+  options.record = tracing;
   obs::Tracer tracer(bench::telemetry_sink());
   std::uint32_t next_lane = 0;
   const auto export_zonal = [&](const sim::Recorder& recorder,
@@ -54,14 +56,13 @@ int main(int argc, char** argv) {
                    "total perf", "sprint min"});
   for (std::size_t hot_pdus : {1u, 2u, 4u}) {
     config.fleet.pdu_count = 8;
-    ZonalController ctl(config, {{hot_pdus, &hot}, {8 - hot_pdus, &idle}});
-    sim::Recorder recorder;
-    if (tracing) ctl.set_recorder(&recorder);
-    const ZonalRunResult r = ctl.run();
-    export_zonal(recorder, 2, "hot=" + std::to_string(hot_pdus) + "/8");
+    DataCenter dc(config);
+    const RunResult r =
+        dc.run({{hot_pdus, &hot}, {8 - hot_pdus, &idle}}, options);
+    export_zonal(r.recorder, 2, "hot=" + std::to_string(hot_pdus) + "/8");
     t1.add_row(std::to_string(hot_pdus) + "/8",
-               {r.performance_factor[0], r.performance_factor[1],
-                r.total_performance_factor, r.sprint_time.min()});
+               {r.zone_performance_factor[0], r.zone_performance_factor[1],
+                r.performance_factor, r.sprint_time.min()});
   }
   t1.print(std::cout);
 
@@ -77,14 +78,12 @@ int main(int argc, char** argv) {
   light_p.seed = 0x777;
   const TimeSeries heavy = workload::generate_yahoo_trace(heavy_p);
   const TimeSeries light = workload::generate_yahoo_trace(light_p);
-  ZonalController competing(config, {{4, &heavy}, {4, &light}});
-  sim::Recorder competing_recorder;
-  if (tracing) competing.set_recorder(&competing_recorder);
-  const ZonalRunResult r = competing.run();
-  export_zonal(competing_recorder, 2, "competing heavy-vs-light");
+  DataCenter competing(config);
+  const RunResult r = competing.run({{4, &heavy}, {4, &light}}, options);
+  export_zonal(r.recorder, 2, "competing heavy-vs-light");
   TablePrinter t2({"zone", "burst", "perf"});
-  t2.add_row({"heavy", "3.6x / 15 min", format_double(r.performance_factor[0], 3)});
-  t2.add_row({"light", "2.0x / 15 min", format_double(r.performance_factor[1], 3)});
+  t2.add_row({"heavy", "3.6x / 15 min", format_double(r.zone_performance_factor[0], 3)});
+  t2.add_row({"light", "2.0x / 15 min", format_double(r.zone_performance_factor[1], 3)});
   t2.print(std::cout);
   std::cout << "\nMax-min fairness: the light zone is served in full before"
                " the heavy zone's excess\nis granted; no breaker trips even"

@@ -263,22 +263,30 @@ inline core::DataCenterConfig bench_config(const Config& args) {
 }
 
 /// Writes a time series as CSV ("time_s,value") under csv=<dir> if given.
+/// Exits 1 when the file cannot be written: a missing export must not read
+/// as success.
 inline void maybe_export_csv(const Config& args, const std::string& name,
                              const TimeSeries& series) {
   const std::string dir = args.get_string("csv", "");
   if (dir.empty()) return;
-  exp::export_time_series_csv(dir, name, series, &std::cout);
+  if (!exp::export_time_series_csv(dir, name, series, &std::cout)) {
+    std::exit(1);
+  }
 }
 
 /// Sweep reporting glue: rows/summary CSV + JSON under csv=<dir>, and a
 /// BENCH_<sweep>.json perf record (wall time, runs/sec, threads) under
 /// perf=<dir>. Perf records pick up the wall-clock profile scopes when the
-/// profiler is on (see obs_setup).
+/// profiler is on (see obs_setup). Exits 1, after attempting every file,
+/// when any of them cannot be written.
 inline void maybe_export_sweep(const Config& args, const exp::SweepSpec& spec,
                                const exp::SweepRun& run,
                                const exp::SweepSummary& summary) {
+  bool ok = true;
   const std::string csv_dir = args.get_string("csv", "");
-  if (!csv_dir.empty()) exp::export_sweep(csv_dir, spec, run, summary, &std::cout);
+  if (!csv_dir.empty()) {
+    ok = exp::export_sweep(csv_dir, spec, run, summary, &std::cout);
+  }
   const std::string perf_dir = args.get_string("perf", "");
   if (!perf_dir.empty()) {
     const std::vector<obs::ProfileEvent> events =
@@ -287,15 +295,13 @@ inline void maybe_export_sweep(const Config& args, const exp::SweepSpec& spec,
     // with DCS_OBS_SAMPLER set) ride along in the perf record.
     const obs::FoldedStacks folded = obs::Sampler::instance().folded();
     const obs::FoldedStacks* folded_ptr = folded.empty() ? nullptr : &folded;
-    if (events.empty()) {
-      exp::export_perf_record(perf_dir, summary, &std::cout, nullptr,
-                              folded_ptr);
-    } else {
-      const obs::ProfileSummary scopes = obs::summarize(events);
-      exp::export_perf_record(perf_dir, summary, &std::cout, &scopes,
-                              folded_ptr);
-    }
+    const obs::ProfileSummary scopes = obs::summarize(events);
+    ok = exp::export_perf_record(perf_dir, summary, &std::cout,
+                                 events.empty() ? nullptr : &scopes,
+                                 folded_ptr) &&
+         ok;
   }
+  if (!ok) std::exit(1);
 }
 
 /// Turns the wall-clock profiler on when either observability knob is set;
@@ -311,32 +317,36 @@ inline void obs_setup(const Config& args) {
 /// `<name>_metrics.{csv,json,prom}`; then seals the trace stream — folds
 /// the profiler's wall-clock scopes into `tracer` (which forwards them to
 /// the stream), appends the metric snapshot, the sampler's folded stacks
-/// and the end marker. Null arguments skip their part. Exits 1 when the
-/// stream failed mid-run (e.g. disk full): a truncated trace must not read
-/// as success.
+/// and the end marker. Null arguments skip their part. Exits 1 when a
+/// metrics file cannot be written or the stream failed mid-run (e.g. disk
+/// full): a missing export or a truncated trace must not read as success.
 inline void maybe_export_obs(const Config& args, const std::string& name,
                              obs::Tracer* tracer,
                              const obs::MetricsRegistry* metrics) {
+  bool ok = true;
   const std::string metrics_dir = args.get_string("metrics", "");
   if (!metrics_dir.empty() && metrics != nullptr) {
-    obs::export_metrics(metrics_dir, name, *metrics, &std::cout);
+    ok = obs::export_metrics(metrics_dir, name, *metrics, &std::cout);
   }
   obs::TelemetrySink* stream = telemetry_sink();
-  if (stream == nullptr) return;
-  if (tracer != nullptr) {
-    obs::export_to(*tracer, obs::Profiler::instance().collect());
+  if (stream != nullptr) {
+    if (tracer != nullptr) {
+      obs::export_to(*tracer, obs::Profiler::instance().collect());
+    }
+    if (metrics != nullptr) stream->write_metrics(*metrics);
+    const obs::FoldedStacks folded = obs::Sampler::instance().folded();
+    if (!folded.empty()) stream->write_stacks(folded);
+    stream->close();
+    if (stream->ok()) {
+      std::cout << "[obs] streamed " << stream->events_written()
+                << " events to " << stream->path() << "\n";
+    } else {
+      std::cerr << "error: cannot write trace stream " << stream->path()
+                << "\n";
+      ok = false;
+    }
   }
-  if (metrics != nullptr) stream->write_metrics(*metrics);
-  const obs::FoldedStacks folded = obs::Sampler::instance().folded();
-  if (!folded.empty()) stream->write_stacks(folded);
-  stream->close();
-  if (!stream->ok()) {
-    std::cerr << "error: cannot write trace stream " << stream->path()
-              << "\n";
-    std::exit(1);
-  }
-  std::cout << "[obs] streamed " << stream->events_written()
-            << " events to " << stream->path() << "\n";
+  if (!ok) std::exit(1);
 }
 
 }  // namespace dcs::bench

@@ -9,7 +9,8 @@
 // its own breaker bound and to the parent's aggregate bound, using max-min
 // fairness (a water level) so no child is starved in favour of a hungrier
 // sibling. The uniform-fleet controller gets this for free (all children
-// identical); this module is for heterogeneous / skewed deployments.
+// identical); zoned runs (DataCenter::run over ZoneSpecs) call it every
+// control period with one child per zone.
 #pragma once
 
 #include <vector>

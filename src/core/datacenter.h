@@ -1,6 +1,9 @@
 // The DataCenter facade: wires every substrate from a DataCenterConfig and
 // runs a demand trace through the sprinting controller, producing the
-// metrics the paper's figures report.
+// metrics the paper's figures report. A zoned run (non-uniform bursts over
+// contiguous PDU groups) goes through the same plant, engine driver,
+// watchdog and recorder, under the paper's Section V-B parent/child
+// breaker rule instead of the uniform controller.
 //
 // Each run() builds fresh subsystem state (breakers cold, batteries and TES
 // full, room at setpoint), so a DataCenter is a reusable experiment factory.
@@ -13,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -34,6 +38,14 @@
 #include "util/units.h"
 
 namespace dcs::core {
+
+/// One zone of a zoned run: a contiguous group of PDUs (zones are laid out
+/// in order from PDU 0) with its own demand stream, normalized to the
+/// zone's sprint-free capacity.
+struct ZoneSpec {
+  std::size_t pdu_count = 0;
+  const TimeSeries* demand = nullptr;  ///< must outlive the run
+};
 
 struct RunOptions {
   Mode mode = Mode::kControlled;
@@ -89,14 +101,21 @@ struct RunResult {
   /// Same metric for the analytic no-sprint baseline min(demand, 1).
   double avg_achieved_nosprint = 0.0;
   /// avg_achieved / avg_achieved_nosprint — the paper's "average
-  /// performance normalized to the performance without sprinting".
+  /// performance normalized to the performance without sprinting". For a
+  /// zoned run, the capacity-weighted total over zones.
   double performance_factor = 0.0;
+  /// Zoned runs only: each zone's time-weighted mean achieved throughput
+  /// over its no-sprint baseline (1 for a zone with no demand). Empty for a
+  /// uniform run.
+  std::vector<double> zone_performance_factor;
   /// Fraction of offered demand dropped.
   double drop_fraction = 0.0;
   /// Time-average realized sprinting degree over the burst (demand > 1)
   /// time — the Oracle run's value is the Heuristic's "real best average
   /// sprinting degree". 1 when the trace has no burst.
   double avg_sprint_degree = 1.0;
+  /// Time spent sprinting. For a zoned run, the unweighted mean over zones
+  /// of each zone's sprinting time.
   Duration sprint_time = Duration::zero();
   /// Time spent in each SprintPhase (normal, cb-overload, ups-assist,
   /// tes-cooling, shutdown) — the paper's Fig. 4 T1..T4 structure.
@@ -146,6 +165,24 @@ class DataCenter {
   /// Runs `demand` (normalized trace) under `strategy`. The strategy may be
   /// null for the baseline modes.
   [[nodiscard]] RunResult run(const TimeSeries& demand, Strategy* strategy,
+                              const RunOptions& options = {});
+
+  /// Runs one demand trace per zone under the Section V-B breaker rule: each
+  /// control period the substation budget left after cooling is split
+  /// across zones max-min fairly (core/cb_budget.h), a zone whose grant
+  /// cannot feed its desired cores sheds cores, and UPS banks cover each
+  /// zone's gap above its own breaker bound; the TES phase stays
+  /// facility-wide. The zones must tile the topology exactly and their
+  /// traces must share one end time. Fills performance_factor,
+  /// zone_performance_factor, sprint_time, ups_energy, tripped, watchdog,
+  /// the engine counters and (under `record`) the recorder with, per zone
+  /// k, `zone<k>/demand`, `zone<k>/degree`, `zone<k>/grid_mw`,
+  /// `zone<k>/ups_soc` and `zone<k>/cb_trip_margin_s` (the zone's first PDU
+  /// breaker time-to-trip at its committed load, capped at 3600 s) plus
+  /// `dc_load_mw` and `cooling_mw` — the names obs::with_zonal_channels
+  /// lists. Supports only Mode::kControlled, `record`, `span_skip`,
+  /// `tracer` and `decisions`; any other option set throws.
+  [[nodiscard]] RunResult run(const std::vector<ZoneSpec>& zones,
                               const RunOptions& options = {});
 
   /// EB_tot in degree-seconds with fresh subsystems — the Heuristic

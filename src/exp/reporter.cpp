@@ -45,18 +45,22 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-bool open_or_diag(std::ofstream& out, const std::string& path,
-                  std::ostream* diag) {
-  out.open(path);
+/// Opens `path`, runs `write` on it and closes it. A failure at open or
+/// during the write (e.g. a full disk, seen when the close flushes) prints
+/// "cannot write <path>" to `diag` and returns false.
+template <class Writer>
+bool write_file(const std::string& path, std::ostream* diag, Writer&& write) {
+  std::ofstream out(path);
+  if (out) {
+    write(out);
+    out.close();
+  }
   if (!out) {
     if (diag != nullptr) *diag << "cannot write " << path << "\n";
     return false;
   }
-  return true;
-}
-
-void wrote(const std::string& path, std::ostream* diag) {
   if (diag != nullptr) *diag << "[exp] wrote " << path << "\n";
+  return true;
 }
 
 }  // namespace
@@ -221,72 +225,44 @@ void metrics_from_summary(obs::MetricsRegistry& registry,
 
 bool export_time_series_csv(const std::string& dir, const std::string& name,
                             const TimeSeries& series, std::ostream* diag) {
-  const std::string path = dir + "/" + name + ".csv";
-  std::ofstream out;
-  if (!open_or_diag(out, path, diag)) return false;
-  CsvWriter csv(out);
-  csv.write_row({"time_s", "value"});
-  for (const Sample& s : series.samples()) {
-    csv.write_numeric_row({s.time.sec(), s.value});
-  }
-  wrote(path, diag);
-  return true;
+  return write_file(dir + "/" + name + ".csv", diag, [&](std::ostream& out) {
+    CsvWriter csv(out);
+    csv.write_row({"time_s", "value"});
+    for (const Sample& s : series.samples()) {
+      csv.write_numeric_row({s.time.sec(), s.value});
+    }
+  });
 }
 
 bool export_sweep(const std::string& dir, const SweepSpec& spec,
                   const SweepRun& run, const SweepSummary& summary,
                   std::ostream* diag) {
-  bool ok = true;
-  {
-    const std::string path = dir + "/" + spec.name() + "_rows.csv";
-    std::ofstream out;
-    if (open_or_diag(out, path, diag)) {
-      write_rows_csv(out, spec, run);
-      wrote(path, diag);
-    } else {
-      ok = false;
-    }
-  }
-  {
-    const std::string path = dir + "/" + spec.name() + "_summary.csv";
-    std::ofstream out;
-    if (open_or_diag(out, path, diag)) {
-      write_summary_csv(out, summary);
-      wrote(path, diag);
-    } else {
-      ok = false;
-    }
-  }
-  {
-    const std::string path = dir + "/" + spec.name() + "_summary.json";
-    std::ofstream out;
-    if (open_or_diag(out, path, diag)) {
-      write_summary_json(out, summary);
-      wrote(path, diag);
-    } else {
-      ok = false;
-    }
-  }
+  const std::string base = dir + "/" + spec.name();
+  // Every file is attempted even after one fails.
+  bool ok = write_file(base + "_rows.csv", diag, [&](std::ostream& out) {
+    write_rows_csv(out, spec, run);
+  });
+  ok = write_file(base + "_summary.csv", diag,
+                  [&](std::ostream& out) { write_summary_csv(out, summary); }) &&
+       ok;
+  ok = write_file(base + "_summary.json", diag,
+                  [&](std::ostream& out) { write_summary_json(out, summary); }) &&
+       ok;
   return ok;
 }
 
 bool export_perf_record(const std::string& dir, const SweepSummary& summary,
                         std::ostream* diag, const obs::ProfileSummary* scopes,
                         const obs::FoldedStacks* folded) {
-  const std::string path = dir + "/BENCH_" + summary.name + ".json";
-  std::ofstream out;
-  if (!open_or_diag(out, path, diag)) return false;
-  write_perf_record_json(out, summary, scopes, folded);
-  wrote(path, diag);
-  if (folded != nullptr && !folded->empty()) {
-    const std::string stacks_path =
-        dir + "/" + summary.name + "_stacks.folded";
-    std::ofstream stacks;
-    if (!open_or_diag(stacks, stacks_path, diag)) return false;
-    obs::write_folded(stacks, *folded);
-    wrote(stacks_path, diag);
+  if (!write_file(dir + "/BENCH_" + summary.name + ".json", diag,
+                  [&](std::ostream& out) {
+                    write_perf_record_json(out, summary, scopes, folded);
+                  })) {
+    return false;
   }
-  return true;
+  if (folded == nullptr || folded->empty()) return true;
+  return write_file(dir + "/" + summary.name + "_stacks.folded", diag,
+                    [&](std::ostream& out) { obs::write_folded(out, *folded); });
 }
 
 }  // namespace dcs::exp

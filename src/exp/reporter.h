@@ -49,19 +49,21 @@ void metrics_from_summary(obs::MetricsRegistry& registry,
 
 /// Writes `<dir>/<name>.csv` as "time_s,value" rows (the old per-bench
 /// `maybe_export_csv` glue, deduplicated here). Returns false (after a
-/// diagnostic on `diag`) when the file cannot be opened.
+/// diagnostic on `diag`) when the file cannot be opened or written.
 bool export_time_series_csv(const std::string& dir, const std::string& name,
                             const TimeSeries& series,
                             std::ostream* diag = nullptr);
 
 /// Writes `<dir>/<name>_rows.csv`, `<dir>/<name>_summary.csv` and
-/// `<dir>/<name>_summary.json` for one sweep.
+/// `<dir>/<name>_summary.json` for one sweep. Returns false when any of
+/// them cannot be opened or written (the others are still written).
 bool export_sweep(const std::string& dir, const SweepSpec& spec,
                   const SweepRun& run, const SweepSummary& summary,
                   std::ostream* diag = nullptr);
 
 /// Writes `<dir>/BENCH_<name>.json`. With folded stacks, also writes
-/// `<dir>/<name>_stacks.folded` in the textual flame-graph format.
+/// `<dir>/<name>_stacks.folded` in the textual flame-graph format. Returns
+/// false when a file cannot be opened or written.
 bool export_perf_record(const std::string& dir, const SweepSummary& summary,
                         std::ostream* diag = nullptr,
                         const obs::ProfileSummary* scopes = nullptr,

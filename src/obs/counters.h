@@ -16,6 +16,7 @@
 // other sim event.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -44,10 +45,10 @@ struct CounterExportOptions {
 void export_counter_track(Tracer& tracer, std::string_view cat,
                           std::string_view name, const TimeSeries& series);
 
-/// Per-zone channel suffixes recorded by core::ZonalController (under a
-/// `zone<k>/` prefix) — kept here so exporters and the controller agree on
-/// one spelling.
-inline const std::vector<std::string> kZonalChannelSuffixes = {
+/// Per-zone channel suffixes a zoned core::DataCenter::run records (under
+/// a `zone<k>/` prefix) — kept here so exporters and the run agree on one
+/// spelling.
+inline constexpr std::array<std::string_view, 5> kZonalChannelSuffixes = {
     "demand", "degree", "grid_mw", "ups_soc", "cb_trip_margin_s"};
 
 /// Expands a channel selection with the per-zone (per-PDU-group) channels
@@ -60,8 +61,9 @@ inline const std::vector<std::string> kZonalChannelSuffixes = {
     std::vector<std::string> channels, std::size_t zones) {
   for (std::size_t z = 0; z < zones; ++z) {
     const std::string prefix = "zone" + std::to_string(z) + "/";
-    for (const std::string& suffix : kZonalChannelSuffixes) {
-      channels.push_back(prefix + suffix);
+    for (const std::string_view suffix : kZonalChannelSuffixes) {
+      channels.push_back(prefix);
+      channels.back().append(suffix);
     }
   }
   return channels;

@@ -314,12 +314,15 @@ bool export_metrics(const std::string& dir, const std::string& name,
   const auto write = [&](const std::string& suffix, auto&& writer) {
     const std::string path = dir + "/" + name + "_metrics" + suffix;
     std::ofstream out(path);
+    if (out) {
+      writer(out);
+      out.close();  // flushes: a full disk shows up here
+    }
     if (!out) {
       if (diag != nullptr) *diag << "cannot write " << path << "\n";
       ok = false;
       return;
     }
-    writer(out);
     if (diag != nullptr) *diag << "[obs] wrote " << path << "\n";
   };
   write(".csv", [&](std::ostream& o) { registry.write_csv(o); });

@@ -117,7 +117,7 @@ class MetricsRegistry {
 };
 
 /// Writes `<dir>/<name>_metrics.csv`, `.json` and `.prom`. Returns false
-/// (after a diagnostic on `diag`) when a file cannot open.
+/// (after a diagnostic on `diag`) when a file cannot be opened or written.
 bool export_metrics(const std::string& dir, const std::string& name,
                     const MetricsRegistry& registry,
                     std::ostream* diag = nullptr);

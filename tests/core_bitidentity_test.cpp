@@ -7,14 +7,15 @@
 // Scenarios mirror the experiment configs that exercise every substrate:
 // the fig01 day trace (long quiescent spans — skipping engages), the
 // fig09-style chaos run (random fault schedule — leaps must stop at every
-// fault edge), and the fig12-style supply excursion (grid disturbance +
-// UPS bridging).
+// fault edge), the fig12-style supply excursion (grid disturbance + UPS
+// bridging), and a zoned run under the Section V-B breaker rule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/datacenter.h"
@@ -77,6 +78,11 @@ void expect_bit_identical(const RunOutput& skip, const RunOutput& plain) {
   EXPECT_EQ(bits(s.avg_achieved), bits(p.avg_achieved));
   EXPECT_EQ(bits(s.avg_achieved_nosprint), bits(p.avg_achieved_nosprint));
   EXPECT_EQ(bits(s.performance_factor), bits(p.performance_factor));
+  ASSERT_EQ(s.zone_performance_factor.size(), p.zone_performance_factor.size());
+  for (std::size_t i = 0; i < s.zone_performance_factor.size(); ++i) {
+    EXPECT_EQ(bits(s.zone_performance_factor[i]),
+              bits(p.zone_performance_factor[i]));
+  }
   EXPECT_EQ(bits(s.drop_fraction), bits(p.drop_fraction));
   EXPECT_EQ(bits(s.avg_sprint_degree), bits(p.avg_sprint_degree));
   EXPECT_EQ(bits(s.sprint_time.sec()), bits(p.sprint_time.sec()));
@@ -217,6 +223,40 @@ TEST(BitIdentity, FaultScheduleWithDayTraceLeapsBetweenEdges) {
   const RunOutput skip = run_once(scenario, true);
   const RunOutput plain = run_once(scenario, false);
   EXPECT_GT(skip.result.engine_leaps, 0u);
+  expect_bit_identical(skip, plain);
+}
+
+TEST(BitIdentity, ZonedRunSkipEqualsPlain) {
+  // A zoned run (Section V-B breaker rule) on piecewise-constant zone
+  // traces: each zone's step changes bound the leaps, the hot zone sprints
+  // and sheds to its grant, and every channel and metric must match the
+  // plain loop bit for bit.
+  const auto steps = [](std::vector<std::pair<double, double>> points) {
+    TimeSeries t;
+    for (const auto& [minute, level] : points) {
+      t.push_back(Duration::minutes(minute), level);
+    }
+    return t;
+  };
+  const TimeSeries hot =
+      steps({{0, 0.6}, {5, 3.2}, {9, 4.0}, {15, 0.6}, {30, 0.6}});
+  const TimeSeries warm = steps({{0, 0.5}, {8, 1.8}, {20, 0.5}, {30, 0.5}});
+  DataCenter dc(small_config());
+  const auto scenario = [&](bool span_skip, obs::Tracer& tracer,
+                            obs::DecisionLog& decisions) {
+    RunOptions opts;
+    opts.record = true;
+    opts.span_skip = span_skip;
+    opts.tracer = &tracer;
+    opts.decisions = &decisions;
+    return dc.run(std::vector<ZoneSpec>{{1, &hot}, {3, &warm}}, opts);
+  };
+  const RunOutput skip = run_once(scenario, true);
+  const RunOutput plain = run_once(scenario, false);
+  EXPECT_GT(skip.result.engine_leaped_ticks, 0u);
+  EXPECT_EQ(plain.result.engine_leaps, 0u);
+  EXPECT_TRUE(skip.result.watchdog.ok()) << skip.result.watchdog.first_message;
+  ASSERT_TRUE(skip.result.recorder.has("zone1/cb_trip_margin_s"));
   expect_bit_identical(skip, plain);
 }
 

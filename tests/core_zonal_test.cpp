@@ -1,14 +1,17 @@
-#include "core/zonal_controller.h"
-
+// Zoned runs (DataCenter::run over ZoneSpecs): the paper's Section V-B
+// parent/child breaker rule for non-uniform bursts.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/datacenter.h"
+#include "faults/schedule.h"
 #include "obs/counters.h"
+#include "power/generator.h"
 #include "sim/recorder.h"
 #include "workload/yahoo_trace.h"
 
@@ -28,25 +31,86 @@ TimeSeries flat(double level, Duration end = Duration::minutes(30)) {
   return t;
 }
 
+/// Runs `zones` on a fresh DataCenter built from `config`.
+RunResult run_zones(const DataCenterConfig& config,
+                    const std::vector<ZoneSpec>& zones,
+                    const RunOptions& options = {}) {
+  DataCenter dc(config);
+  return dc.run(zones, options);
+}
+
 TEST(Zonal, ZonesMustTileTopology) {
   const TimeSeries d = flat(0.5);
-  EXPECT_THROW((void)ZonalController(small_config(4), {{3, &d}}),
+  const TimeSeries shorter = flat(0.5, Duration::minutes(20));
+  const TimeSeries empty;
+  EXPECT_THROW((void)run_zones(small_config(4), {{3, &d}}),
                std::invalid_argument);
-  EXPECT_THROW((void)ZonalController(small_config(4), {{3, &d}, {2, &d}}),
+  EXPECT_THROW((void)run_zones(small_config(4), {{3, &d}, {2, &d}}),
                std::invalid_argument);
-  EXPECT_NO_THROW(ZonalController(small_config(4), {{2, &d}, {2, &d}}));
-  EXPECT_THROW((void)ZonalController(small_config(4), {}), std::invalid_argument);
-  EXPECT_THROW((void)ZonalController(small_config(4), {{4, nullptr}}),
+  EXPECT_NO_THROW((void)run_zones(small_config(4), {{2, &d}, {2, &d}}));
+  EXPECT_THROW((void)run_zones(small_config(4), {}), std::invalid_argument);
+  EXPECT_THROW((void)run_zones(small_config(4), {{4, nullptr}}),
                std::invalid_argument);
+  EXPECT_THROW((void)run_zones(small_config(4), {{0, &d}, {4, &d}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_zones(small_config(4), {{4, &empty}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_zones(small_config(4), {{2, &d}, {2, &shorter}}),
+               std::invalid_argument);
+}
+
+TEST(Zonal, RejectsUnsupportedRunOptions) {
+  // A zoned run has no faults, supply trace, generator, extra components,
+  // step hook or metrics registry; setting any of them must throw rather
+  // than be silently ignored.
+  const TimeSeries d = flat(0.5);
+  const std::vector<ZoneSpec> zones = {{2, &d}, {2, &d}};
+  faults::FaultSchedule schedule;
+  schedule.add({.kind = faults::FaultKind::kChillerFailure,
+                .start = Duration::minutes(1),
+                .end = Duration::minutes(2),
+                .magnitude = 0.5});
+  power::DieselGenerator generator("gen", {.rated = Power::megawatts(1.0)});
+  obs::MetricsRegistry metrics;
+  struct Idle final : sim::Component {
+    void tick(Duration, Duration) override {}
+    [[nodiscard]] std::string_view name() const noexcept override {
+      return "idle";
+    }
+  } idle;
+  const std::vector<std::function<void(RunOptions&)>> setters = {
+      [](RunOptions& o) { o.mode = Mode::kUncontrolled; },
+      [](RunOptions& o) { o.mode = Mode::kNoSprint; },
+      [&](RunOptions& o) { o.faults = &schedule; },
+      [&](RunOptions& o) { o.supply_fraction = &d; },
+      [&](RunOptions& o) { o.generator = &generator; },
+      [&](RunOptions& o) { o.components.push_back(&idle); },
+      [](RunOptions& o) {
+        o.on_step = [](Duration, Duration, const StepResult&) {};
+      },
+      [&](RunOptions& o) { o.metrics = &metrics; },
+  };
+  for (std::size_t i = 0; i < setters.size(); ++i) {
+    RunOptions options;
+    setters[i](options);
+    EXPECT_THROW((void)run_zones(small_config(4), zones, options),
+                 std::invalid_argument)
+        << "option " << i;
+  }
+  // The supported ones run.
+  RunOptions options;
+  options.record = true;
+  options.span_skip = false;
+  EXPECT_TRUE(run_zones(small_config(4), zones, options).watchdog.ok());
 }
 
 TEST(Zonal, QuietZonesServeTheirDemandExactly) {
   const TimeSeries d = flat(0.6);
-  ZonalController ctl(small_config(4), {{2, &d}, {2, &d}});
-  const ZonalRunResult r = ctl.run();
+  const RunResult r = run_zones(small_config(4), {{2, &d}, {2, &d}});
   EXPECT_FALSE(r.tripped);
-  EXPECT_NEAR(r.performance_factor[0], 1.0, 1e-9);
-  EXPECT_NEAR(r.performance_factor[1], 1.0, 1e-9);
+  EXPECT_TRUE(r.watchdog.ok()) << r.watchdog.first_message;
+  EXPECT_NEAR(r.zone_performance_factor[0], 1.0, 1e-9);
+  EXPECT_NEAR(r.zone_performance_factor[1], 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(r.sprint_time.sec(), 0.0);
 }
 
@@ -56,11 +120,11 @@ TEST(Zonal, HotZoneSprintsWhileOthersIdle) {
   p.burst_duration = Duration::minutes(10);
   const TimeSeries hot = workload::generate_yahoo_trace(p);
   const TimeSeries idle = flat(0.4, hot.end_time());
-  ZonalController ctl(small_config(4), {{1, &hot}, {3, &idle}});
-  const ZonalRunResult r = ctl.run();
+  const RunResult r = run_zones(small_config(4), {{1, &hot}, {3, &idle}});
   EXPECT_FALSE(r.tripped);
-  EXPECT_GT(r.performance_factor[0], 1.4);         // the hot zone sprinted
-  EXPECT_NEAR(r.performance_factor[1], 1.0, 1e-9); // idle zone untouched
+  EXPECT_TRUE(r.watchdog.ok()) << r.watchdog.first_message;
+  EXPECT_GT(r.zone_performance_factor[0], 1.4);          // the hot zone sprinted
+  EXPECT_NEAR(r.zone_performance_factor[1], 1.0, 1e-9);  // idle zone untouched
 }
 
 TEST(Zonal, NeverTripsUnderSkewedOverload) {
@@ -76,31 +140,30 @@ TEST(Zonal, NeverTripsUnderSkewedOverload) {
   p2.seed = 0x1234;
   const TimeSeries heavy = workload::generate_yahoo_trace(p1);
   const TimeSeries light = workload::generate_yahoo_trace(p2);
-  ZonalController ctl(config, {{2, &heavy}, {2, &light}});
-  const ZonalRunResult r = ctl.run();
+  const RunResult r = run_zones(config, {{2, &heavy}, {2, &light}});
   EXPECT_FALSE(r.tripped);
-  EXPECT_GT(r.performance_factor[0], 1.0);
-  EXPECT_GT(r.performance_factor[1], 1.0);
+  EXPECT_TRUE(r.watchdog.ok()) << r.watchdog.first_message;
+  EXPECT_GT(r.zone_performance_factor[0], 1.0);
+  EXPECT_GT(r.zone_performance_factor[1], 1.0);
 }
 
 TEST(Zonal, SingleZoneMatchesUniformControllerClosely) {
   // One zone spanning the whole fleet is the uniform problem; the zonal
-  // controller (which lacks the exhaustion-termination heuristics) should
-  // land in the same neighbourhood as the uniform Greedy run.
+  // law (which lacks the exhaustion-termination heuristics) should land in
+  // the same neighbourhood as the uniform Greedy run.
   workload::YahooTraceParams p;
   p.burst_degree = 2.6;
   p.burst_duration = Duration::minutes(5);
   const TimeSeries trace = workload::generate_yahoo_trace(p);
   const DataCenterConfig config = small_config(4);
 
-  ZonalController ctl(config, {{4, &trace}});
-  const ZonalRunResult zonal = ctl.run();
-
   DataCenter dc(config);
+  const RunResult zonal = dc.run(std::vector<ZoneSpec>{{4, &trace}});
   GreedyStrategy greedy;
   const RunResult uniform = dc.run(trace, &greedy);
 
-  EXPECT_NEAR(zonal.total_performance_factor, uniform.performance_factor, 0.06);
+  EXPECT_TRUE(zonal.watchdog.ok()) << zonal.watchdog.first_message;
+  EXPECT_NEAR(zonal.performance_factor, uniform.performance_factor, 0.06);
 }
 
 TEST(Zonal, ConcentratedBurstBeatsUniformSpread) {
@@ -116,13 +179,13 @@ TEST(Zonal, ConcentratedBurstBeatsUniformSpread) {
   hot_p.burst_duration = Duration::minutes(10);
   const TimeSeries hot = workload::generate_yahoo_trace(hot_p);
   const TimeSeries idle = flat(0.4, hot.end_time());
-  ZonalController concentrated(config, {{1, &hot}, {3, &idle}});
-  const ZonalRunResult conc = concentrated.run();
+  const RunResult conc = run_zones(config, {{1, &hot}, {3, &idle}});
 
   EXPECT_FALSE(conc.tripped);
+  EXPECT_TRUE(conc.watchdog.ok()) << conc.watchdog.first_message;
   // The hot zone gets deep sprinting: degree well above what a uniform
   // 4x-everywhere burst could sustain for 10 minutes.
-  EXPECT_GT(conc.performance_factor[0], 1.8);
+  EXPECT_GT(conc.zone_performance_factor[0], 1.8);
 }
 
 // Parameterized safety sweep: any split of the fleet into two zones, any
@@ -146,13 +209,13 @@ TEST_P(ZonalSafety, NeverTripsNeverStarves) {
   pb.seed = 0xBEEF;
   const TimeSeries ta = workload::generate_yahoo_trace(pa);
   const TimeSeries tb = workload::generate_yahoo_trace(pb);
-  ZonalController ctl(config, {{a_pdus, &ta}, {4 - a_pdus, &tb}});
-  const ZonalRunResult r = ctl.run();
+  const RunResult r = run_zones(config, {{a_pdus, &ta}, {4 - a_pdus, &tb}});
   EXPECT_FALSE(r.tripped);
+  EXPECT_TRUE(r.watchdog.ok()) << r.watchdog.first_message;
   // Every zone performs at least as well as not sprinting at all.
-  EXPECT_GE(r.performance_factor[0], 1.0 - 1e-9);
-  EXPECT_GE(r.performance_factor[1], 1.0 - 1e-9);
-  EXPECT_GE(r.total_performance_factor, 1.0 - 1e-9);
+  EXPECT_GE(r.zone_performance_factor[0], 1.0 - 1e-9);
+  EXPECT_GE(r.zone_performance_factor[1], 1.0 - 1e-9);
+  EXPECT_GE(r.performance_factor, 1.0 - 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -169,17 +232,24 @@ TEST(Zonal, StepExposesPerZoneState) {
   p.burst_duration = Duration::minutes(10);
   const TimeSeries hot = workload::generate_yahoo_trace(p);
   const TimeSeries idle = flat(0.4, hot.end_time());
-  ZonalController ctl(small_config(4), {{2, &hot}, {2, &idle}});
-  // Walk into the burst.
-  ZonalStepResult last{};
-  for (int i = 0; i < 6 * 60 + 30; ++i) {
-    last = ctl.step(Duration::seconds(i), Duration::seconds(1));
-  }
-  ASSERT_EQ(last.zones.size(), 2u);
-  EXPECT_GT(last.zones[0].degree, 1.0);
-  EXPECT_DOUBLE_EQ(last.zones[1].degree, 1.0);
-  EXPECT_GT(last.zones[0].grid_power, last.zones[1].grid_power);
-  EXPECT_GT(last.dc_load, Power::zero());
+  RunOptions options;
+  options.record = true;
+  const RunResult r =
+      run_zones(small_config(4), {{2, &hot}, {2, &idle}}, options);
+  EXPECT_TRUE(r.watchdog.ok()) << r.watchdog.first_message;
+  // The tick 6.5 minutes in, inside the burst.
+  const std::size_t tick = 6 * 60 + 29;
+  const auto sample = [&](const std::string& channel) {
+    const TimeSeries& series = r.recorder.series(channel);
+    EXPECT_GT(series.size(), tick) << channel;
+    EXPECT_DOUBLE_EQ(series[tick].time.sec(), static_cast<double>(tick));
+    return series[tick].value;
+  };
+  EXPECT_FALSE(r.recorder.has("zone2/degree"));
+  EXPECT_GT(sample("zone0/degree"), 1.0);
+  EXPECT_DOUBLE_EQ(sample("zone1/degree"), 1.0);
+  EXPECT_GT(sample("zone0/grid_mw"), sample("zone1/grid_mw"));
+  EXPECT_GT(sample("dc_load_mw"), 0.0);
 }
 
 TEST(Zonal, RecorderCapturesPerZoneChannels) {
@@ -188,10 +258,12 @@ TEST(Zonal, RecorderCapturesPerZoneChannels) {
   p.burst_duration = Duration::minutes(10);
   const TimeSeries hot = workload::generate_yahoo_trace(p);
   const TimeSeries idle = flat(0.4, hot.end_time());
-  ZonalController ctl(small_config(4), {{2, &hot}, {2, &idle}});
-  sim::Recorder recorder;
-  ctl.set_recorder(&recorder);
-  (void)ctl.run();
+  RunOptions options;
+  options.record = true;
+  const RunResult r =
+      run_zones(small_config(4), {{2, &hot}, {2, &idle}}, options);
+  EXPECT_TRUE(r.watchdog.ok()) << r.watchdog.first_message;
+  const sim::Recorder& recorder = r.recorder;
 
   // Every channel with_zonal_channels names for a 2-zone run must be
   // populated (one sample per control period), plus the facility totals.
