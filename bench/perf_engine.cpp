@@ -1,7 +1,8 @@
 // Simulator performance microbenchmarks (google-benchmark): the cost of the
 // inner loops — breaker thermal stepping, fleet operating-point solving,
-// one controller step, a full 30-minute experiment run, and the serial vs
-// parallel oracle search on the src/exp runner.
+// one controller step, a full 30-minute experiment run, the serving
+// layer's per-request path, and the serial vs parallel oracle search on the
+// src/exp runner.
 //
 // Unless --benchmark_out is given, results are also written as a
 // machine-readable BENCH_perf_engine.json perf record (wall times, items/s)
@@ -9,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -19,7 +21,9 @@
 #include "obs/decision.h"
 #include "obs/trace.h"
 #include "power/circuit_breaker.h"
+#include "serving/serving_layer.h"
 #include "workload/ms_trace.h"
+#include "workload/yahoo_trace.h"
 
 namespace {
 
@@ -100,6 +104,41 @@ void BM_FullMsRun(benchmark::State& state) {
 // cost grows with log2 of the PDU count (exact repeated sums, no per-PDU
 // pools), and CI gates /909 against /2 on one runner (at most 3x).
 BENCHMARK(BM_FullMsRun)->Arg(2)->Arg(8)->Arg(909)->Unit(benchmark::kMillisecond);
+
+void BM_ServingTick(benchmark::State& state) {
+  // One fig12 task's serving layer without the plant: 8 servers at 400 rps,
+  // M/G/1, round robin, Yahoo 3.2x burst for 15 min, over the 1800 ticks of
+  // the 30-minute trace at capacity degree 1. The burst overloads the
+  // servers, so both queue regimes (stationary sampling and fluid backlog)
+  // are on the path. ns_per_request is wall time per admitted request.
+  workload::YahooTraceParams yp;
+  yp.burst_degree = 3.2;
+  yp.burst_duration = Duration::minutes(15);
+  const TimeSeries trace = workload::generate_yahoo_trace(yp);
+  serving::ServingParams params;
+  params.servers = 8;
+  params.peak_rps = 400.0;
+  params.queue_model = "mg1";
+  params.placement = "round_robin";
+  params.demand = &trace;
+  const Duration dt = Duration::seconds(1);
+  double requests = 0.0;
+  double ns = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    serving::ServingLayer layer(params);
+    for (Duration now = Duration::zero(); now < trace.end_time(); now += dt) {
+      layer.tick(now, dt);
+    }
+    benchmark::DoNotOptimize(layer.latency().p99());
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+    requests += static_cast<double>(layer.latency().total().count());
+  }
+  state.counters["ns_per_request"] = requests > 0.0 ? ns / requests : 0.0;
+}
+BENCHMARK(BM_ServingTick)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_OracleSearch(benchmark::State& state) {
   // Arg = worker threads for the candidate sweep (the serial-vs-parallel

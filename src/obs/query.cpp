@@ -114,6 +114,7 @@ TraceData load_trace(const std::string& path) {
       } catch (const std::exception&) {
         // Torn trailing line of a crashed worker's stream: skip, the rest
         // of the file is still a valid trace.
+        ++trace.skipped_lines;
       }
     }
     begin = nl + 1;

@@ -50,11 +50,13 @@ struct QueryEvent {
 
 struct TraceData {
   std::vector<QueryEvent> events;
+  /// Non-blank lines that did not parse as JSON and were skipped.
+  std::size_t skipped_lines = 0;
 };
 
 /// Loads a telemetry-schema JSONL trace. Unparsable lines (a crashed
-/// writer's torn tail) are skipped. Throws std::invalid_argument when the
-/// file cannot be read.
+/// writer's torn tail) are skipped and counted in `skipped_lines`. Throws
+/// std::invalid_argument when the file cannot be read.
 [[nodiscard]] TraceData load_trace(const std::string& path);
 
 /// Duration statistics over 'X' span events, grouped by (src, name).

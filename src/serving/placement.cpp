@@ -11,10 +11,36 @@ double queue_length(const ServerLoad& server) noexcept {
 
 }  // namespace
 
+void PlacementPolicy::place(std::size_t n, std::vector<ServerLoad>& servers,
+                            std::vector<std::size_t>& per_server) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t server = pick(servers);
+    ++servers[server].assigned;
+    ++per_server[server];
+  }
+}
+
 std::size_t RoundRobinPlacement::pick(const std::vector<ServerLoad>& servers) {
   const std::size_t index = cursor_ % servers.size();
   cursor_ = (cursor_ + 1) % servers.size();
   return index;
+}
+
+void RoundRobinPlacement::place(std::size_t n, std::vector<ServerLoad>& servers,
+                                std::vector<std::size_t>& per_server) {
+  if (n == 0) return;
+  const std::size_t size = servers.size();
+  const std::size_t start = cursor_ % size;
+  const std::size_t rounds = n / size;
+  const std::size_t extra = n % size;
+  for (std::size_t s = 0; s < size; ++s) {
+    // Offset of server s after the cursor, in rotation order.
+    const std::size_t offset = s >= start ? s - start : s + size - start;
+    const std::size_t count = rounds + (offset < extra ? 1 : 0);
+    servers[s].assigned += count;
+    per_server[s] += count;
+  }
+  cursor_ = (start + extra) % size;
 }
 
 std::size_t JoinShortestQueuePlacement::pick(

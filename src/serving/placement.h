@@ -42,6 +42,14 @@ class PlacementPolicy {
   [[nodiscard]] virtual std::size_t pick(
       const std::vector<ServerLoad>& servers) = 0;
 
+  /// Places `n` requests: the same servers, in the same order, as `n`
+  /// pick() calls that each add one to the chosen server's `assigned` and
+  /// `per_server` entry (`per_server.size() == servers.size()`). The
+  /// default is that loop; a policy whose choices do not read the loads
+  /// may settle the batch in closed form.
+  virtual void place(std::size_t n, std::vector<ServerLoad>& servers,
+                     std::vector<std::size_t>& per_server);
+
   virtual void reset() {}
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
@@ -51,6 +59,10 @@ class RoundRobinPlacement final : public PlacementPolicy {
  public:
   [[nodiscard]] std::size_t pick(
       const std::vector<ServerLoad>& servers) override;
+  /// n / S requests per server, plus one for the n % S servers from the
+  /// cursor on.
+  void place(std::size_t n, std::vector<ServerLoad>& servers,
+             std::vector<std::size_t>& per_server) override;
   void reset() override { cursor_ = 0; }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "round_robin";

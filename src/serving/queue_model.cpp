@@ -32,30 +32,32 @@ void AnalyticQueue::step(std::size_t arrivals, double mu_rps, Duration dt,
   const double lambda = static_cast<double>(arrivals) / dt.sec();
   const double rho = lambda / mu_rps;
   if (backlog_ <= 0.0 && rho < params_.rho_max) {
+    const StationaryResponse response = stationary_response(lambda, mu_rps);
     for (std::size_t i = 0; i < arrivals; ++i) {
-      latencies.observe(stationary_response(lambda, mu_rps, rng));
+      latencies.observe(rng.exponential(response.rate) / response.stretch);
     }
     return;
   }
   // Fluid FIFO overload: request i queues behind the backlog plus the i
   // requests ahead of it this period, all draining at mu.
-  for (std::size_t i = 0; i < arrivals; ++i) {
-    latencies.observe((backlog_ + static_cast<double>(i) + 1.0) / mu_rps);
-  }
+  latencies.observe_fluid(backlog_, arrivals, mu_rps);
   backlog_ = std::max(
       backlog_ + static_cast<double>(arrivals) - mu_rps * dt.sec(), 0.0);
 }
 
-double Mg1Queue::stationary_response(double lambda_rps, double mu_rps,
-                                     Rng& rng) {
+StationaryResponse Mg1Queue::stationary_response(double lambda_rps,
+                                                 double mu_rps) const {
+  // Exponential with the Pollaczek-Khinchine mean (stretch 1 divides
+  // exactly).
   const double mean = mg1_mean_response_s(lambda_rps, mu_rps, params().cv2);
-  return rng.exponential(1.0 / mean);
+  return {1.0 / mean, 1.0};
 }
 
-double ProcessorSharingQueue::stationary_response(double lambda_rps,
-                                                  double mu_rps, Rng& rng) {
+StationaryResponse ProcessorSharingQueue::stationary_response(
+    double lambda_rps, double mu_rps) const {
+  // Job size S ~ Exp(mu) stretched to S / (1 - rho).
   const double rho = lambda_rps / mu_rps;
-  return rng.exponential(mu_rps) / (1.0 - rho);
+  return {mu_rps, 1.0 - rho};
 }
 
 std::unique_ptr<QueueModel> make_queue_model(std::string_view name,

@@ -72,8 +72,15 @@ class QueueModel {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
+/// Stationary response time T = Exp(rate) / stretch — an exponential
+/// shape; both models draw it, with parameters fixed for a server-period.
+struct StationaryResponse {
+  double rate = 1.0;
+  double stretch = 1.0;
+};
+
 /// Shared two-regime skeleton; subclasses provide the stationary response
-/// sampler.
+/// distribution.
 class AnalyticQueue : public QueueModel {
  public:
   explicit AnalyticQueue(QueueModelParams params) : params_(params) {}
@@ -84,10 +91,9 @@ class AnalyticQueue : public QueueModel {
   void reset() final { backlog_ = 0.0; }
 
  protected:
-  /// One response-time sample under stationary load (lambda < mu).
-  [[nodiscard]] virtual double stationary_response(double lambda_rps,
-                                                   double mu_rps,
-                                                   Rng& rng) = 0;
+  /// Response-time distribution under stationary load (lambda < mu).
+  [[nodiscard]] virtual StationaryResponse stationary_response(
+      double lambda_rps, double mu_rps) const = 0;
   [[nodiscard]] const QueueModelParams& params() const noexcept {
     return params_;
   }
@@ -106,8 +112,8 @@ class Mg1Queue final : public AnalyticQueue {
   }
 
  protected:
-  [[nodiscard]] double stationary_response(double lambda_rps, double mu_rps,
-                                           Rng& rng) override;
+  [[nodiscard]] StationaryResponse stationary_response(
+      double lambda_rps, double mu_rps) const override;
 };
 
 /// Egalitarian processor sharing over the active core set.
@@ -120,8 +126,8 @@ class ProcessorSharingQueue final : public AnalyticQueue {
   }
 
  protected:
-  [[nodiscard]] double stationary_response(double lambda_rps, double mu_rps,
-                                           Rng& rng) override;
+  [[nodiscard]] StationaryResponse stationary_response(
+      double lambda_rps, double mu_rps) const override;
 };
 
 /// Factory over the bench `queue_model=` knob: "mg1" | "ps". Aborts on an

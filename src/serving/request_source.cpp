@@ -12,9 +12,8 @@ namespace {
 /// representable; 16 keeps exp(-16) ~ 1.1e-7, far from double underflow.
 constexpr double kChunkMean = 16.0;
 
-std::size_t poisson_chunk(Rng& rng, double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  const double limit = std::exp(-mean);
+/// Knuth's sampler for Poisson with exp(-mean) == `limit`.
+std::size_t poisson_chunk(Rng& rng, double limit) noexcept {
   std::size_t k = 0;
   double product = 1.0;
   do {
@@ -27,12 +26,15 @@ std::size_t poisson_chunk(Rng& rng, double mean) noexcept {
 }  // namespace
 
 std::size_t poisson_sample(Rng& rng, double mean) noexcept {
+  // Every full chunk shares one limit, computed once rather than per chunk
+  // (serving_hotpath_test checks it against a per-chunk std::exp).
+  static const double chunk_limit = std::exp(-kChunkMean);
   std::size_t total = 0;
   while (mean > kChunkMean) {
-    total += poisson_chunk(rng, kChunkMean);
+    total += poisson_chunk(rng, chunk_limit);
     mean -= kChunkMean;
   }
-  return total + poisson_chunk(rng, mean);
+  return mean <= 0.0 ? total : total + poisson_chunk(rng, std::exp(-mean));
 }
 
 RequestSource::RequestSource(RequestSourceParams params)

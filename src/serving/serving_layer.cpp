@@ -73,11 +73,7 @@ void ServingLayer::tick(Duration now, Duration dt) {
 
   // Placement: policy picks a server per request against the live view.
   std::fill(per_server_.begin(), per_server_.end(), std::size_t{0});
-  for (std::size_t i = 0; i < admitted; ++i) {
-    const std::size_t server = placement_->pick(loads_);
-    ++loads_[server].assigned;
-    ++per_server_[server];
-  }
+  placement_->place(admitted, loads_, per_server_);
 
   // Service over the currently active core set, one Rng stream per
   // (tick, server) so the latency sample sequence is reproducible.

@@ -13,11 +13,24 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed) noexcept;
 
-  /// Uniform 64-bit value.
-  [[nodiscard]] std::uint64_t next_u64() noexcept;
+  /// Uniform 64-bit value (xoshiro256**). Inline: the serving layer's
+  /// arrival and latency samplers draw one per request.
+  [[nodiscard]] std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() noexcept;
+  /// Uniform double in [0, 1): the top 53 bits scaled by 2^-53 (exact).
+  [[nodiscard]] double uniform() noexcept {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;
@@ -50,6 +63,10 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

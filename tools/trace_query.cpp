@@ -50,7 +50,12 @@
 // `--csv` / `--jsonl` switch to byte-stable machine encodings (stdout, or
 // a file with `=path`) for diffing across runs.
 //
-// Exit codes: 0 = ok, 1 = assertion unmet, 2 = usage/input error.
+// Lines that do not parse (a crashed writer's torn last line) are skipped
+// and their count is reported on stderr. A trace in which no event parsed
+// but some line failed to is not a trace: the query exits 1.
+//
+// Exit codes: 0 = ok, 1 = assertion unmet or no parsable event, 2 =
+// usage/input error.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -366,6 +371,15 @@ int main(int argc, char** argv) {
 
   try {
     const query::TraceData trace = query::load_trace(args.trace);
+    if (trace.skipped_lines > 0) {
+      if (trace.events.empty()) {
+        std::cerr << "trace_query: no parsable event; " << trace.skipped_lines
+                  << " lines skipped\n";
+        return 1;
+      }
+      std::cerr << "trace_query: " << trace.skipped_lines
+                << " unparsable line(s) skipped\n";
+    }
     std::ofstream file;
     std::ostream* out = open_out(args, &file);
     if (out == nullptr) return 2;
