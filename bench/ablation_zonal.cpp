@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   // Per-scenario counter lanes: each zoned run records its per-zone
   // channels into its own recorder, exported as one named lane so Perfetto
   // shows every zone's breaker margin / degree / UPS state side by side.
+  GreedyStrategy greedy;
   RunOptions options;
   options.record = tracing;
   obs::Tracer tracer(bench::telemetry_sink());
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
     config.fleet.pdu_count = 8;
     DataCenter dc(config);
     const RunResult r =
-        dc.run({{hot_pdus, &hot}, {8 - hot_pdus, &idle}}, options);
+        dc.run({{hot_pdus, &hot}, {8 - hot_pdus, &idle}}, &greedy, options);
     export_zonal(r.recorder, 2, "hot=" + std::to_string(hot_pdus) + "/8");
     t1.add_row(std::to_string(hot_pdus) + "/8",
                {r.zone_performance_factor[0], r.zone_performance_factor[1],
@@ -79,7 +80,8 @@ int main(int argc, char** argv) {
   const TimeSeries heavy = workload::generate_yahoo_trace(heavy_p);
   const TimeSeries light = workload::generate_yahoo_trace(light_p);
   DataCenter competing(config);
-  const RunResult r = competing.run({{4, &heavy}, {4, &light}}, options);
+  const RunResult r =
+      competing.run({{4, &heavy}, {4, &light}}, &greedy, options);
   export_zonal(r.recorder, 2, "competing heavy-vs-light");
   TablePrinter t2({"zone", "burst", "perf"});
   t2.add_row({"heavy", "3.6x / 15 min", format_double(r.zone_performance_factor[0], 3)});

@@ -8,9 +8,8 @@
 // allocate_cb_budget() grants each child the most it asked for, subject to
 // its own breaker bound and to the parent's aggregate bound, using max-min
 // fairness (a water level) so no child is starved in favour of a hungrier
-// sibling. The uniform-fleet controller gets this for free (all children
-// identical); zoned runs (DataCenter::run over ZoneSpecs) call it every
-// control period with one child per zone.
+// sibling. With identical children (a uniform fleet) every child simply
+// gets an equal share.
 #pragma once
 
 #include <vector>

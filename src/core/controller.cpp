@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <optional>
+#include <utility>
+#include <vector>
 
+#include "core/cb_budget.h"
 #include "obs/profile.h"
 #include "util/check.h"
 #include "util/log.h"
@@ -20,6 +25,106 @@ constexpr double kSevereFaultSeverity = 0.5;
 /// Release band of the trip-margin watch edge: once low, the margin must
 /// recover past watch * this factor before a recovered instant fires.
 constexpr double kMarginReleaseFactor = 1.25;
+
+/// A candidate core count's UPS discharge per PDU on one PDU group: the
+/// PDU tier puts the load above the breaker governor's bound on the bank,
+/// and a parent tier may shed more onto it. Either fails once the draw
+/// exceeds what the bank can give this step (inverter power, stored
+/// energy), read only when first needed.
+struct UpsDraw {
+  const power::Pdu& pdu;
+  Duration dt;
+  Power ups = Power::zero();
+  std::optional<Power> limit;
+
+  [[nodiscard]] bool within_limit() {
+    if (!limit) {
+      limit = std::min(pdu.ups().max_discharge(), pdu.ups().available() / dt);
+    }
+    return ups <= *limit + kPowerEps;
+  }
+  /// PDU tier. Screen: max_load_for() never returns less than the
+  /// effective rating of an untripped breaker (the curve's no-trip ratio
+  /// exceeds 1), so a load at or below rating needs no UPS assist — skip
+  /// the curve inversion.
+  [[nodiscard]] bool cover_pdu_tier(Power per_pdu, Duration reserve) {
+    if (per_pdu.w() <= pdu.breaker().effective_rated().w()) return true;
+    const Power allow = pdu.breaker().max_load_for(reserve);
+    ups = per_pdu > allow ? per_pdu - allow : Power::zero();
+    return within_limit();
+  }
+  /// Adds `extra` per PDU shed by a parent tier; a bank cannot discharge
+  /// more than the load it feeds.
+  [[nodiscard]] bool relieve(Power extra, Power per_pdu) {
+    ups += extra;
+    return within_limit() && ups <= per_pdu;
+  }
+};
+
+/// Heat the TES may absorb this step (its charge and discharge limit).
+Power tes_rate(const thermal::TesTank& tes, Duration dt) {
+  return std::min(tes.stored() / dt, tes.max_discharge_rate());
+}
+
+/// UPS draw per PDU and TES relief of a candidate core count.
+struct Draw {
+  Power ups;
+  Power relief;
+};
+
+/// Largest core count in [normal, desired] for which `fits(cores, &draw)`
+/// holds, with that count's draw in `*best`. `fits` is monotone in the
+/// core count (power grows with cores), so after probing `desired` this
+/// binary-searches. When even normal does not fit (breakers too hot right
+/// after heavy overload) it sheds to normal anyway, with no draw: rated
+/// load cannot trip.
+template <class Fits>
+std::size_t largest_fitting(std::size_t normal, std::size_t desired,
+                            Draw* best, Fits&& fits) {
+  Draw trial{};
+  if (fits(desired, &trial)) {
+    *best = trial;
+    return desired;
+  }
+  if (!fits(normal, &trial)) return normal;
+  *best = trial;
+  // Invariant: lo fits, hi does not.
+  std::size_t lo = normal, hi = desired;
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (fits(mid, &trial)) {
+      lo = mid;
+      *best = trial;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// Shares `parent` among children that cannot shed below `floors`: the
+/// floors first (scaled down together when even they do not fit), then the
+/// rest max-min fairly over what each child asks above its floor. Splitting
+/// the whole parent could grant a child less than its floor, and the child
+/// would overrun its grant, and so the parent, by the difference.
+std::vector<Power> share_above_floors(Power parent,
+                                      std::vector<CbBudgetRequest> asks,
+                                      const std::vector<Power>& floors) {
+  Power floor_total = Power::zero();
+  for (std::size_t i = 0; i < asks.size(); ++i) {
+    floor_total += floors[i];
+    asks[i].demand = std::max(asks[i].demand - floors[i], Power::zero());
+    asks[i].child_allow =
+        std::max(asks[i].child_allow - floors[i], Power::zero());
+  }
+  const double squeeze = parent < floor_total ? parent / floor_total : 1.0;
+  std::vector<Power> budgets = allocate_cb_budget(
+      std::max(parent - floor_total, Power::zero()), asks);
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    budgets[i] += floors[i] * squeeze;
+  }
+  return budgets;
+}
 
 }  // namespace
 
@@ -58,7 +163,8 @@ std::string_view to_string(DegradationLevel level) noexcept {
 
 SprintingController::SprintingController(const DataCenterConfig& config,
                                          const Deps& deps, Strategy* strategy,
-                                         Mode mode)
+                                         Mode mode,
+                                         const std::vector<std::size_t>& zone_pdus)
     : config_(config), deps_(deps), strategy_(strategy), mode_(mode) {
   DCS_REQUIRE(deps_.fleet != nullptr, "controller needs a fleet");
   DCS_REQUIRE(deps_.topology != nullptr, "controller needs a power topology");
@@ -66,6 +172,24 @@ SprintingController::SprintingController(const DataCenterConfig& config,
   DCS_REQUIRE(deps_.room != nullptr, "controller needs a room model");
   DCS_REQUIRE(mode_ != Mode::kControlled || strategy_ != nullptr,
               "controlled mode needs a strategy");
+  const std::size_t pdus = deps_.topology->pdu_count();
+  std::size_t first = 0;
+  for (const std::size_t n : zone_pdus.empty() ? std::vector{pdus} : zone_pdus) {
+    DCS_REQUIRE(n > 0, "zone must own at least one PDU");
+    Zone zone;
+    zone.pdu_count = n;
+    zone.first_pdu = first;
+    zone.weight = static_cast<double>(n) / static_cast<double>(pdus);
+    zones_.push_back(zone);
+    first += n;
+  }
+  DCS_REQUIRE(first == pdus, "zones must tile the topology exactly");
+  DCS_REQUIRE(zones_.size() == 1 || mode_ == Mode::kControlled,
+              "zoned runs support only Mode::kControlled");
+  if (zones_.size() > 1) {
+    server_power_.resize(pdus);
+    ups_request_.resize(pdus);
+  }
   dc_rated_ = config_.dc_rated();
   pdu_rated_ = config_.pdu_rated();
   fleet_peak_sprint_ = config_.fleet_peak_sprint();
@@ -176,30 +300,15 @@ bool SprintingController::check_cores(std::size_t cores, double demand,
           : Power::zero();
   Power tes_rate_left = Power::zero();
   if (tes_active && deps_.tes != nullptr) {
-    tes_rate_left =
-        std::min(deps_.tes->stored() / dt, deps_.tes->max_discharge_rate());
+    tes_rate_left = tes_rate(*deps_.tes, dt);
     if (excess_heat > tes_rate_left + kPowerEps) return false;
     tes_rate_left -= excess_heat;
   }
 
   // PDU tier: the breaker may carry up to the governor's bound; the UPS
-  // bank covers the rest, limited by inverter power and stored energy.
-  // Screen: max_load_for() never returns less than the effective rating of
-  // an untripped breaker (the curve's no-trip ratio exceeds 1), so a load
-  // at or below rating needs no UPS assist — skip the curve inversion.
-  const auto ups_limit = [&] {
-    return std::min(pdu.ups().max_discharge(), pdu.ups().available() / dt);
-  };
-  Power ups = Power::zero();
-  Power ups_max = Power::zero();
-  bool ups_max_known = false;
-  if (op.per_pdu.w() > pdu.breaker().effective_rated().w()) {
-    const Power pdu_allow = pdu.breaker().max_load_for(config_.cb_reserve);
-    ups_max = ups_limit();
-    ups_max_known = true;
-    ups = op.per_pdu > pdu_allow ? op.per_pdu - pdu_allow : Power::zero();
-    if (ups > ups_max + kPowerEps) return false;
-  }
+  // bank covers the rest.
+  UpsDraw ups{pdu, dt};
+  if (!ups.cover_pdu_tier(op.per_pdu, config_.cb_reserve)) return false;
 
   // DC tier: grid-side PDU flows plus cooling must fit the substation
   // governor's bound and the utility feed's current capability. In phase 3
@@ -211,7 +320,7 @@ bool SprintingController::check_cores(std::size_t cores, double demand,
   const Power cooling = deps_.cooling->electrical_projection(
       op.fleet_total, tes_active, Power::zero());
   const double n = static_cast<double>(topo.pdu_count());
-  Power dc_load = (op.per_pdu - ups) * n + cooling;
+  Power dc_load = (op.per_pdu - ups.ups) * n + cooling;
   Power relief = Power::zero();
   if (grid_limited_ || dc_load.w() > topo.dc_breaker().effective_rated().w()) {
     Power dc_allow = topo.dc_breaker().max_load_for(config_.cb_reserve);
@@ -224,60 +333,215 @@ bool SprintingController::check_cores(std::size_t cores, double demand,
       relief = std::min(dc_load - dc_allow, relief_max);
       dc_load -= relief;
     }
-    if (dc_load > dc_allow + kPowerEps) {
-      const Power extra_per_pdu = (dc_load - dc_allow) / n;
-      ups += extra_per_pdu;
-      if (!ups_max_known) ups_max = ups_limit();
-      if (ups > ups_max + kPowerEps) return false;
-      if (ups > op.per_pdu) return false;  // cannot discharge more than the load
+    if (dc_load > dc_allow + kPowerEps &&
+        !ups.relieve((dc_load - dc_allow) / n, op.per_pdu)) {
+      return false;
     }
   }
-  if (ups_per_pdu != nullptr) *ups_per_pdu = ups;
-  if (tes_relief != nullptr) *tes_relief = relief;
+  *ups_per_pdu = ups.ups;
+  *tes_relief = relief;
   return true;
 }
 
 SprintingController::Feasible SprintingController::find_feasible(
-    double demand, double bound, Duration dt) const {
+    double demand, double measured, double bound, Duration dt) {
   const bool tes_active = should_activate_tes();
+  if (zones_.size() > 1) {
+    return find_feasible_zoned(demand, measured, bound, tes_active, dt);
+  }
   const std::size_t normal =
       deps_.fleet->server().chip().params().normal_cores;
   const std::size_t desired =
-      deps_.fleet->operate(demand, std::max(1.0, bound)).active_cores;
-
-  Feasible best{normal, Power::zero(), Power::zero(), tes_active, desired};
-  // check_cores() is monotone in the core count (power grows with cores),
-  // so binary-search the largest feasible count in [normal, desired].
-  Power ups = Power::zero();
-  Power relief = Power::zero();
-  if (check_cores(desired, demand, tes_active, dt, &ups, &relief)) {
-    return Feasible{desired, ups, relief, tes_active, desired};
-  }
-  std::size_t lo = normal, hi = desired;
-  // Invariant: lo feasible (rated load always is), hi infeasible.
-  if (!check_cores(lo, demand, tes_active, dt, &ups, &relief)) {
-    // Breakers too hot even for normal load (possible right after heavy
-    // overload): shed to normal cores anyway — rated load cannot trip.
-    return best;
-  }
-  best.ups_per_pdu = ups;
-  best.tes_relief = relief;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (check_cores(mid, demand, tes_active, dt, &ups, &relief)) {
-      lo = mid;
-      best.cores = mid;
-      best.ups_per_pdu = ups;
-      best.tes_relief = relief;
-    } else {
-      hi = mid;
-    }
-  }
-  return best;
+      deps_.fleet->operate(measured, std::max(1.0, bound)).active_cores;
+  Draw draw{};
+  const std::size_t cores = largest_fitting(
+      normal, desired, &draw, [&](std::size_t c, Draw* d) {
+        return check_cores(c, measured, tes_active, dt, &d->ups, &d->relief);
+      });
+  return Feasible{cores, draw.ups, draw.relief, tes_active, cores < desired};
 }
 
-StepResult SprintingController::step(Duration now, double demand, Duration dt) {
+SprintingController::Feasible SprintingController::find_feasible_zoned(
+    double demand, double measured, double bound, bool tes_active,
+    Duration dt) {
+  const compute::Fleet& fleet = *deps_.fleet;
+  const power::PowerTopology& topo = *deps_.topology;
+  const thermal::CoolingPlant& cooling = *deps_.cooling;
+  const std::size_t normal = fleet.server().chip().params().normal_cores;
+  // One demand sensor feeds the plan: a fault on the peak reading distorts
+  // every zone's reading by the same factor.
+  const double scale = demand > 0.0 ? measured / demand : 0.0;
+
+  // What each zone wants under the bound, what its PDU breakers may carry,
+  // and its floor: the normal-core draw, the least it can shed to.
+  std::vector<std::size_t> desired(zones_.size());
+  std::vector<CbBudgetRequest> requests(zones_.size());
+  std::vector<Power> floors(zones_.size());
+  Power fleet_want = Power::zero();
+  for (std::size_t z = 0; z < zones_.size(); ++z) {
+    Zone& zone = zones_[z];
+    const double n = static_cast<double>(zone.pdu_count);
+    const auto want = fleet.operate(zone.demand * scale, std::max(1.0, bound));
+    desired[z] = want.active_cores;
+    floors[z] = fleet.operate_with_cores(zone.demand * scale, normal).per_pdu * n;
+    requests[z] = {want.per_pdu * n,
+                   topo.pdu(zone.first_pdu).breaker().max_load_for(
+                       config_.cb_reserve) * n};
+    fleet_want += want.per_pdu * n;
+  }
+
+  // Thermal tier, shared like the breaker budget: in phase 3 the zones'
+  // heat beyond the chiller's capacity must fit the tank this step.
+  const bool heat_bound = tes_active && deps_.tes != nullptr;
+  std::vector<Power> heat_budgets;
+  Power tes_rate_left = Power::zero();
+  if (heat_bound) {
+    tes_rate_left = tes_rate(*deps_.tes, dt);
+    std::vector<CbBudgetRequest> heat = requests;
+    for (CbBudgetRequest& r : heat) r.child_allow = r.demand;
+    heat_budgets = share_above_floors(
+        cooling.thermal_capacity() + tes_rate_left, std::move(heat), floors);
+    const Power excess = std::max(fleet_want - cooling.thermal_capacity(),
+                                  Power::zero());
+    tes_rate_left = std::max(tes_rate_left - excess, Power::zero());
+  }
+
+  // DC tier: the substation allowance left after cooling, raised by TES
+  // chiller relief when the zones ask for more than it may carry.
+  Power dc_allow = topo.dc_breaker().max_load_for(config_.cb_reserve);
+  if (grid_limited_) dc_allow = std::min(dc_allow, grid_cap_);
+  const Power cooling_elec =
+      cooling.electrical_projection(fleet_want, tes_active, Power::zero());
+  Power parent = std::max(dc_allow - cooling_elec, Power::zero());
+  Feasible plan{normal, Power::zero(), Power::zero(), tes_active};
+  plan.zoned = true;
+  if (heat_bound) {
+    Power ask = Power::zero();
+    for (const CbBudgetRequest& r : requests) {
+      ask += std::min(r.demand, r.child_allow);
+    }
+    if (ask > parent) {
+      plan.tes_relief = std::min(
+          {ask - parent,
+           cooling.chiller_electrical(
+               std::min(fleet_want, cooling.thermal_capacity())),
+           tes_rate_left * cooling.chiller_elec_per_heat()});
+      parent += plan.tes_relief;
+    }
+  }
+  const std::vector<Power> grants =
+      share_above_floors(parent, requests, floors);
+
+  // Each zone's core count against its grants and its own PDU tier; the
+  // banks cover what the grid grant cannot (the DC tier's UPS relief).
+  for (std::size_t z = 0; z < zones_.size(); ++z) {
+    Zone& zone = zones_[z];
+    const double n = static_cast<double>(zone.pdu_count);
+    const power::Pdu& pdu = topo.pdu(zone.first_pdu);
+    Draw draw{};
+    zone.cores = largest_fitting(
+        normal, desired[z], &draw, [&](std::size_t cores, Draw* d) {
+          if (pdu.breaker().tripped() || topo.dc_breaker().tripped()) {
+            return false;
+          }
+          const auto op = fleet.operate_with_cores(zone.demand * scale, cores);
+          if (heat_bound && op.per_pdu * n > heat_budgets[z] + kPowerEps) {
+            return false;
+          }
+          UpsDraw ups{pdu, dt};
+          if (!ups.cover_pdu_tier(op.per_pdu, config_.cb_reserve)) return false;
+          const Power grid = (op.per_pdu - ups.ups) * n;
+          if (grid > grants[z] + kPowerEps &&
+              !ups.relieve((grid - grants[z]) / n, op.per_pdu)) {
+            return false;
+          }
+          d->ups = ups.ups;
+          return true;
+        });
+    zone.ups_per_pdu = draw.ups;
+    plan.shed = plan.shed || zone.cores < desired[z];
+  }
+  return plan;
+}
+
+compute::Fleet::Operation SprintingController::commit(
+    double demand, const Feasible& plan, bool recharging, Duration dt,
+    thermal::CoolingStep* cooling, power::Flows* flows) {
+  compute::Fleet::Operation op;
+  if (zones_.size() > 1) {
+    // Per-PDU loads zone by zone. The facility point sums the heat, takes
+    // capacity-weighted means of throughput and degree, and feeds the PCM
+    // the hottest chip. Zoned runs do not recharge the ESDs.
+    op.degree = 0.0;
+    for (Zone& zone : zones_) {
+      if (!plan.zoned) {
+        zone.cores = plan.cores;
+        zone.ups_per_pdu = plan.ups_per_pdu;
+      }
+      zone.op = deps_.fleet->operate_with_cores(zone.demand, zone.cores);
+      const auto first = static_cast<std::ptrdiff_t>(zone.first_pdu);
+      std::fill_n(server_power_.begin() + first, zone.pdu_count, zone.op.per_pdu);
+      std::fill_n(ups_request_.begin() + first, zone.pdu_count, zone.ups_per_pdu);
+      op.fleet_total += zone.op.per_pdu * static_cast<double>(zone.pdu_count);
+      op.achieved += zone.weight * zone.op.achieved;
+      op.degree += zone.weight * zone.op.degree;
+      op.active_cores = std::max(op.active_cores, zone.op.active_cores);
+      op.per_server = std::max(op.per_server, zone.op.per_server);
+    }
+    *cooling = deps_.cooling->step(op.fleet_total, plan.tes_active,
+                                   plan.tes_relief, dt);
+    *flows = deps_.topology->step(server_power_, ups_request_,
+                                  cooling->electrical, dt);
+  } else if (recharging) {
+    op = deps_.fleet->operate_with_cores(demand, plan.cores);
+    // Idle headroom recharges the ESDs: UPS banks first, then the TES, all
+    // while every breaker stays at or below its rating.
+    const double n = static_cast<double>(deps_.topology->pdu_count());
+    const Power nominal_cooling = deps_.cooling->electrical_projection(
+        op.fleet_total, false, Power::zero());
+    const Power dc_used = op.per_pdu * n + nominal_cooling;
+    Power dc_room =
+        dc_rated_ > dc_used ? dc_rated_ - dc_used : Power::zero();
+    const Power pdu_room = pdu_rated_ > op.per_pdu
+                               ? pdu_rated_ - op.per_pdu
+                               : Power::zero();
+    const Power ups_recharge = std::min(pdu_room, dc_room / n);
+    // ups_recharge * n can round one ulp above dc_room when the min picked
+    // dc_room / n (seen at the paper's n = 909); clamp so the leftover room
+    // — and the TES rate derived from it — cannot go negative.
+    dc_room = std::max(dc_room - ups_recharge * n, Power::zero());
+    Power tes_rate = Power::zero();
+    if (deps_.tes != nullptr) {
+      // Convert the remaining electrical room into a thermal recharge rate.
+      tes_rate = dc_room / deps_.cooling->chiller_elec_per_heat();
+    }
+    *cooling = deps_.cooling->recharge_tes_step(op.fleet_total, tes_rate, dt);
+    *flows = deps_.topology->recharge_uniform(op.per_pdu, ups_recharge,
+                                              cooling->electrical, dt);
+  } else {
+    op = deps_.fleet->operate_with_cores(demand, plan.cores);
+    *cooling = deps_.cooling->step(op.fleet_total, plan.tes_active,
+                                   plan.tes_relief, dt);
+    *flows = deps_.topology->step_uniform(op.per_pdu, plan.ups_per_pdu,
+                                          cooling->electrical, dt);
+  }
+  deps_.room->step(op.fleet_total, cooling->heat_absorbed, dt);
+  return op;
+}
+
+StepResult SprintingController::step(Duration now,
+                                     std::span<const double> zone_demands,
+                                     Duration dt) {
   DCS_OBS_SCOPE("controller.step");
+  DCS_REQUIRE(zone_demands.size() == zones_.size(), "one demand per zone");
+  // A zoned controller's burst clock and strategy run on the peak zone.
+  double demand = zone_demands.front();
+  if (zones_.size() > 1) {
+    for (std::size_t z = 0; z < zones_.size(); ++z) {
+      zones_[z].demand = zone_demands[z];
+      demand = std::max(demand, zone_demands[z]);
+    }
+  }
   DCS_REQUIRE(demand >= 0.0, "demand must be non-negative");
   DCS_REQUIRE(dt > Duration::zero(), "dt must be positive");
   StepResult result;
@@ -441,49 +705,16 @@ StepResult SprintingController::step_controlled(Duration now, double demand,
   const bool recharging = !grid_limited_ && !active &&
                           measured <= config_.recharge_demand_threshold;
 
-  const Feasible f = find_feasible(measured, bound, dt);
-  if (injector_ != nullptr && injector_->state().active_count > 0 &&
-      f.cores < f.desired) {
+  const Feasible f = find_feasible(demand, measured, bound, dt);
+  if (injector_ != nullptr && injector_->state().active_count > 0 && f.shed) {
     level = std::max(level, DegradationLevel::kShedding);
   }
   // Commit with the chosen core count against the *true* demand: under a
   // demand-sensor fault the plan and reality can differ, which is exactly
   // the hazard the ladder and the watchdog guard against.
-  const auto op = deps_.fleet->operate_with_cores(demand, f.cores);
-
   thermal::CoolingStep cooling{};
   power::Flows flows{};
-  if (recharging) {
-    // Idle headroom recharges the ESDs: UPS banks first, then the TES, all
-    // while every breaker stays at or below its rating.
-    const double n = static_cast<double>(deps_.topology->pdu_count());
-    const Power nominal_cooling = deps_.cooling->electrical_projection(
-        op.fleet_total, false, Power::zero());
-    const Power dc_used = op.per_pdu * n + nominal_cooling;
-    Power dc_room =
-        dc_rated_ > dc_used ? dc_rated_ - dc_used : Power::zero();
-    const Power pdu_room = pdu_rated_ > op.per_pdu
-                               ? pdu_rated_ - op.per_pdu
-                               : Power::zero();
-    const Power ups_recharge = std::min(pdu_room, dc_room / n);
-    // ups_recharge * n can round one ulp above dc_room when the min picked
-    // dc_room / n (seen at the paper's n = 909); clamp so the leftover room
-    // — and the TES rate derived from it — cannot go negative.
-    dc_room = std::max(dc_room - ups_recharge * n, Power::zero());
-    Power tes_rate = Power::zero();
-    if (deps_.tes != nullptr) {
-      // Convert the remaining electrical room into a thermal recharge rate.
-      tes_rate = dc_room / deps_.cooling->chiller_elec_per_heat();
-    }
-    cooling = deps_.cooling->recharge_tes_step(op.fleet_total, tes_rate, dt);
-    flows = deps_.topology->recharge_uniform(op.per_pdu, ups_recharge,
-                                             cooling.electrical, dt);
-  } else {
-    cooling = deps_.cooling->step(op.fleet_total, f.tes_active, f.tes_relief, dt);
-    flows = deps_.topology->step_uniform(op.per_pdu, f.ups_per_pdu,
-                                         cooling.electrical, dt);
-  }
-  deps_.room->step(op.fleet_total, cooling.heat_absorbed, dt);
+  const auto op = commit(demand, f, recharging, dt, &cooling, &flows);
 
   if (flows.dc_tripped || flows.any_pdu_tripped) {
     // Without injected faults this is unreachable — keep the hard contract.
@@ -651,12 +882,10 @@ StepResult SprintingController::step_capped(double demand, Duration dt,
     }
     DCS_ENSURE(cores <= total, "core search overflow");
   }
-  const auto op = deps_.fleet->operate_with_cores(demand, cores);
-  const auto cooling =
-      deps_.cooling->step(op.fleet_total, false, Power::zero(), dt);
-  const auto flows = deps_.topology->step_uniform(op.per_pdu, Power::zero(),
-                                                  cooling.electrical, dt);
-  deps_.room->step(op.fleet_total, cooling.heat_absorbed, dt);
+  thermal::CoolingStep cooling{};
+  power::Flows flows{};
+  const auto op = commit(demand, Feasible{cores, Power::zero(), Power::zero(), false},
+                         /*recharging=*/false, dt, &cooling, &flows);
   result.achieved = op.achieved;
   result.degree = op.degree;
   result.active_cores = op.active_cores;

@@ -15,6 +15,13 @@
 //     rules: room over threshold or TES exhausted in phase 3 ends the
 //     sprint (Section V-C).
 //
+// Zones: the PDUs may be split into contiguous zones with their own demand.
+// All of the above stays facility-wide (bursts are timed on the largest
+// zone demand) except step 2, which splits the substation allowance across
+// zones (Section V-B, core/cb_budget.h) and sizes each zone's cores against
+// its grant and its own PDU tier, and step 4, which commits per-PDU loads.
+// One zone is the uniform fleet.
+//
 // Modes: the same stepping core also implements the paper's baselines —
 // uncontrolled chip-level sprinting (no governor, no ESDs; breakers trip
 // and the data center goes dark, Fig. 8a), no-sprint, and a conventional
@@ -22,7 +29,9 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "compute/dvfs.h"
 #include "compute/fleet.h"
@@ -76,11 +85,14 @@ enum class DegradationLevel {
 
 /// Everything one control step produced (for recording and tests).
 struct StepResult {
+  /// Demand this step; for a zoned controller, the largest zone demand.
   double demand = 0.0;
-  double achieved = 0.0;        ///< normalized throughput delivered
-  double degree = 1.0;          ///< realized sprinting degree
+  /// Normalized throughput delivered (zoned: capacity-weighted mean).
+  double achieved = 0.0;
+  /// Realized sprinting degree (zoned: capacity-weighted mean over zones).
+  double degree = 1.0;
   double upper_bound = 1.0;     ///< strategy bound after clamping
-  std::size_t active_cores = 0; ///< per server
+  std::size_t active_cores = 0; ///< per server (zoned: the most in any zone)
   SprintPhase phase = SprintPhase::kNormal;
   Power server_power;           ///< fleet-wide IT power
   Power cooling_power;          ///< cooling electrical power
@@ -112,11 +124,38 @@ class SprintingController {
     compute::PcmHeatSink* pcm = nullptr;
   };
 
-  SprintingController(const DataCenterConfig& config, const Deps& deps,
-                      Strategy* strategy, Mode mode);
+  /// One zone of the facility: a contiguous PDU group (zones are laid out
+  /// in order from PDU 0) with its own demand, and what the last step
+  /// planned and committed for it. Kept up to date for zoned controllers
+  /// (more than one zone) only.
+  struct Zone {
+    std::size_t pdu_count = 0;
+    std::size_t first_pdu = 0;
+    double weight = 1.0;     ///< pdu_count / total PDU count
+    double demand = 0.0;     ///< true demand this step
+    std::size_t cores = 0;   ///< planned active cores per server
+    Power ups_per_pdu;       ///< planned UPS discharge per PDU
+    compute::Fleet::Operation op;  ///< committed operating point
+  };
 
-  /// Advances one control period.
-  StepResult step(Duration now, double demand, Duration dt);
+  /// `zone_pdus` splits the topology's PDUs into contiguous zones (they must
+  /// tile it exactly); empty means one zone over the whole fleet. More than
+  /// one zone needs Mode::kControlled.
+  SprintingController(const DataCenterConfig& config, const Deps& deps,
+                      Strategy* strategy, Mode mode,
+                      const std::vector<std::size_t>& zone_pdus = {});
+
+  /// Advances one control period with one demand per zone.
+  StepResult step(Duration now, std::span<const double> zone_demands,
+                  Duration dt);
+  /// One-zone shorthand.
+  StepResult step(Duration now, double demand, Duration dt) {
+    return step(now, std::span<const double>(&demand, 1), dt);
+  }
+
+  [[nodiscard]] const std::vector<Zone>& zones() const noexcept {
+    return zones_;
+  }
 
   /// Utility-feed health over time as a fraction of the DC rating in [0, 1]
   /// (1 = healthy; below 1 models the paper's "unexpected power spikes in
@@ -182,12 +221,15 @@ class SprintingController {
   }
 
  private:
+  /// A plan: one core count and UPS draw for every PDU, or (`zoned`) the
+  /// per-zone ones held in zones_.
   struct Feasible {
     std::size_t cores;
     Power ups_per_pdu;
     Power tes_relief;  ///< chiller electrical displaced to relieve the DC CB
     bool tes_active;
-    std::size_t desired = 0;  ///< cores the bound asked for (pre-shedding)
+    bool shed = false;   ///< fewer cores than the bound asked for somewhere
+    bool zoned = false;
   };
 
   [[nodiscard]] bool burst_active(double demand) const noexcept {
@@ -196,10 +238,23 @@ class SprintingController {
   [[nodiscard]] SprintContext make_context(double demand,
                                            double energy_fraction) const;
   [[nodiscard]] bool should_activate_tes() const;
-  [[nodiscard]] Feasible find_feasible(double demand, double bound, Duration dt) const;
+  /// Plans the largest feasible core counts under `bound` for the
+  /// `measured` demand (`demand` is the true one it was measured from).
+  [[nodiscard]] Feasible find_feasible(double demand, double measured,
+                                       double bound, Duration dt);
+  /// find_feasible for more than one zone.
+  [[nodiscard]] Feasible find_feasible_zoned(double demand, double measured,
+                                             double bound, bool tes_active,
+                                             Duration dt);
   [[nodiscard]] bool check_cores(std::size_t cores, double demand, bool tes_active,
                                  Duration dt, Power* ups_per_pdu,
                                  Power* tes_relief) const;
+  /// Commits `plan` against the true demand: cooling, the power topology,
+  /// then the room. Returns the facility-wide operating point.
+  compute::Fleet::Operation commit(double demand, const Feasible& plan,
+                                   bool recharging, Duration dt,
+                                   thermal::CoolingStep* cooling,
+                                   power::Flows* flows);
   StepResult step_controlled(Duration now, double demand, Duration dt);
   StepResult step_uncontrolled(double demand, Duration dt);
   StepResult step_capped(double demand, Duration dt, bool allow_extra_cores);
@@ -215,6 +270,10 @@ class SprintingController {
   Deps deps_;
   Strategy* strategy_;
   Mode mode_;
+  std::vector<Zone> zones_;
+  // Zoned runs' per-PDU loads for the topology, sized once.
+  std::vector<Power> server_power_;
+  std::vector<Power> ups_request_;
   /// Cached config-derived ratings: the DataCenterConfig accessors build a
   /// throwaway compute::Fleet per call, far too heavy for the per-tick
   /// paths (grid cap, feasibility checks, overload accounting, tracing).

@@ -1,9 +1,9 @@
 // The DataCenter facade: wires every substrate from a DataCenterConfig and
-// runs a demand trace through the sprinting controller, producing the
-// metrics the paper's figures report. A zoned run (non-uniform bursts over
-// contiguous PDU groups) goes through the same plant, engine driver,
-// watchdog and recorder, under the paper's Section V-B parent/child
-// breaker rule instead of the uniform controller.
+// runs demand traces through the sprinting controller, producing the
+// metrics the paper's figures report. A run takes one demand trace per
+// zone (a contiguous PDU group); the uniform fleet is the one-zone run, and
+// more zones bring in the controller's Section V-B split of the substation
+// budget across zones (core/controller.h).
 //
 // Each run() builds fresh subsystem state (breakers cold, batteries and TES
 // full, room at setpoint), so a DataCenter is a reusable experiment factory.
@@ -39,9 +39,9 @@
 
 namespace dcs::core {
 
-/// One zone of a zoned run: a contiguous group of PDUs (zones are laid out
-/// in order from PDU 0) with its own demand stream, normalized to the
-/// zone's sprint-free capacity.
+/// One zone of a run: a contiguous group of PDUs (zones are laid out in
+/// order from PDU 0) with its own demand stream, normalized to the zone's
+/// sprint-free capacity.
 struct ZoneSpec {
   std::size_t pdu_count = 0;
   const TimeSeries* demand = nullptr;  ///< must outlive the run
@@ -102,20 +102,20 @@ struct RunResult {
   double avg_achieved_nosprint = 0.0;
   /// avg_achieved / avg_achieved_nosprint — the paper's "average
   /// performance normalized to the performance without sprinting". For a
-  /// zoned run, the capacity-weighted total over zones.
+  /// zoned run both means are capacity-weighted over zones.
   double performance_factor = 0.0;
-  /// Zoned runs only: each zone's time-weighted mean achieved throughput
-  /// over its no-sprint baseline (1 for a zone with no demand). Empty for a
-  /// uniform run.
+  /// Runs with more than one zone: each zone's time-weighted mean achieved
+  /// throughput over its no-sprint baseline (1 for a zone with no demand).
+  /// Empty for a one-zone run.
   std::vector<double> zone_performance_factor;
   /// Fraction of offered demand dropped.
   double drop_fraction = 0.0;
   /// Time-average realized sprinting degree over the burst (demand > 1)
   /// time — the Oracle run's value is the Heuristic's "real best average
-  /// sprinting degree". 1 when the trace has no burst.
+  /// sprinting degree". 1 when the trace has no burst. For a zoned run, the
+  /// capacity-weighted degree over the time any zone bursts.
   double avg_sprint_degree = 1.0;
-  /// Time spent sprinting. For a zoned run, the unweighted mean over zones
-  /// of each zone's sprinting time.
+  /// Time spent sprinting (for a zoned run, with any zone sprinting).
   Duration sprint_time = Duration::zero();
   /// Time spent in each SprintPhase (normal, cb-overload, ups-assist,
   /// tes-cooling, shutdown) — the paper's Fig. 4 T1..T4 structure.
@@ -129,7 +129,7 @@ struct RunResult {
   Temperature peak_room_temperature;
   double min_ups_soc = 1.0;
   double min_tes_soc = 1.0;
-  /// Battery wear counters of a representative per-PDU bank (uniform fleet):
+  /// Battery wear counters of a representative per-PDU bank (PDU 0's):
   /// discharge events, equivalent full cycles, and the deepest
   /// depth-of-discharge reached — inputs to power::BatteryLifetimeModel.
   std::size_t ups_discharge_events = 0;
@@ -154,7 +154,11 @@ struct RunResult {
   /// ups_mw, dc_load_mw, room_c, ups_soc, tes_soc, dc_cb_heat, pdu_cb_heat,
   /// cb_trip_margin_s (time-to-trip at the tick's load, capped at 3600 s so
   /// the channel stays finite), supply, degradation; plus faults_active and
-  /// measured_demand when a fault schedule is attached.
+  /// measured_demand when a fault schedule is attached. Per-PDU channels
+  /// read PDU 0. Runs with more than one zone add, per zone k, the names
+  /// obs::with_zonal_channels lists: `zone<k>/demand`, `zone<k>/degree`,
+  /// `zone<k>/grid_mw`, `zone<k>/ups_soc` and `zone<k>/cb_trip_margin_s`
+  /// (the zone's first PDU, its breaker margin at the zone's committed load).
   sim::Recorder recorder;
 };
 
@@ -162,27 +166,22 @@ class DataCenter {
  public:
   explicit DataCenter(DataCenterConfig config);
 
-  /// Runs `demand` (normalized trace) under `strategy`. The strategy may be
-  /// null for the baseline modes.
+  /// Runs `demand` (normalized trace) under `strategy` on the whole fleet:
+  /// the one-zone run. The strategy may be null for the baseline modes.
   [[nodiscard]] RunResult run(const TimeSeries& demand, Strategy* strategy,
                               const RunOptions& options = {});
 
-  /// Runs one demand trace per zone under the Section V-B breaker rule: each
-  /// control period the substation budget left after cooling is split
-  /// across zones max-min fairly (core/cb_budget.h), a zone whose grant
-  /// cannot feed its desired cores sheds cores, and UPS banks cover each
-  /// zone's gap above its own breaker bound; the TES phase stays
-  /// facility-wide. The zones must tile the topology exactly and their
-  /// traces must share one end time. Fills performance_factor,
-  /// zone_performance_factor, sprint_time, ups_energy, tripped, watchdog,
-  /// the engine counters and (under `record`) the recorder with, per zone
-  /// k, `zone<k>/demand`, `zone<k>/degree`, `zone<k>/grid_mw`,
-  /// `zone<k>/ups_soc` and `zone<k>/cb_trip_margin_s` (the zone's first PDU
-  /// breaker time-to-trip at its committed load, capped at 3600 s) plus
-  /// `dc_load_mw` and `cooling_mw` — the names obs::with_zonal_channels
-  /// lists. Supports only Mode::kControlled, `record`, `span_skip`,
-  /// `tracer` and `decisions`; any other option set throws.
+  /// Runs one demand trace per zone under `strategy`. The zones must tile
+  /// the topology exactly and their traces must share one end time. Every
+  /// option works for any zone count; more than one zone needs
+  /// Mode::kControlled. Each control period the controller bounds the
+  /// degree on the largest zone demand, reserves every zone's normal-core
+  /// draw, splits the rest of the substation budget left after cooling and
+  /// TES relief max-min fairly (core/cb_budget.h), and sheds each zone to
+  /// its grant, the UPS banks covering each zone's gap above its own
+  /// breaker bound and grant. Zoned runs do not recharge the ESDs.
   [[nodiscard]] RunResult run(const std::vector<ZoneSpec>& zones,
+                              Strategy* strategy,
                               const RunOptions& options = {});
 
   /// EB_tot in degree-seconds with fresh subsystems — the Heuristic

@@ -55,10 +55,4 @@ std::uint64_t Rng::fork_seed(std::uint64_t stream_id) const noexcept {
   return splitmix64(x);
 }
 
-double Rng::exponential(double rate) noexcept {
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
-}
-
 }  // namespace dcs

@@ -5,6 +5,7 @@
 // distribution objects (whose outputs are implementation-defined).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace dcs {
@@ -35,6 +36,14 @@ class Rng {
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;
 
+  /// Exponential with given rate (lambda > 0). Inline: the serving layer's
+  /// arrival and service samplers draw one per request.
+  [[nodiscard]] double exponential(double rate) noexcept {
+    double u = uniform();
+    while (u <= 0.0) u = uniform();
+    return -std::log(u) / rate;
+  }
+
   /// Uniform integer in [0, n). Requires n > 0.
   [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n) noexcept;
 
@@ -43,9 +52,6 @@ class Rng {
 
   /// Normal with given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
-
-  /// Exponential with given rate (lambda > 0).
-  [[nodiscard]] double exponential(double rate) noexcept;
 
   /// Stream splitting: derives the seed of an independent child stream from
   /// this generator's *current* state and `stream_id`. Pure integer mixing,

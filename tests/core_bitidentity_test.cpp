@@ -244,12 +244,13 @@ TEST(BitIdentity, ZonedRunSkipEqualsPlain) {
   DataCenter dc(small_config());
   const auto scenario = [&](bool span_skip, obs::Tracer& tracer,
                             obs::DecisionLog& decisions) {
+    GreedyStrategy greedy;
     RunOptions opts;
     opts.record = true;
     opts.span_skip = span_skip;
     opts.tracer = &tracer;
     opts.decisions = &decisions;
-    return dc.run(std::vector<ZoneSpec>{{1, &hot}, {3, &warm}}, opts);
+    return dc.run(std::vector<ZoneSpec>{{1, &hot}, {3, &warm}}, &greedy, opts);
   };
   const RunOutput skip = run_once(scenario, true);
   const RunOutput plain = run_once(scenario, false);

@@ -2,10 +2,14 @@
 // parent/child breaker rule for non-uniform bursts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/datacenter.h"
@@ -31,12 +35,19 @@ TimeSeries flat(double level, Duration end = Duration::minutes(30)) {
   return t;
 }
 
-/// Runs `zones` on a fresh DataCenter built from `config`.
+/// Runs `zones` under Greedy on a fresh DataCenter built from `config`.
 RunResult run_zones(const DataCenterConfig& config,
                     const std::vector<ZoneSpec>& zones,
                     const RunOptions& options = {}) {
   DataCenter dc(config);
-  return dc.run(zones, options);
+  GreedyStrategy greedy;
+  return dc.run(zones, &greedy, options);
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &v, sizeof(out));
+  return out;
 }
 
 TEST(Zonal, ZonesMustTileTopology) {
@@ -59,49 +70,92 @@ TEST(Zonal, ZonesMustTileTopology) {
                std::invalid_argument);
 }
 
-TEST(Zonal, RejectsUnsupportedRunOptions) {
-  // A zoned run has no faults, supply trace, generator, extra components,
-  // step hook or metrics registry; setting any of them must throw rather
-  // than be silently ignored.
-  const TimeSeries d = flat(0.5);
-  const std::vector<ZoneSpec> zones = {{2, &d}, {2, &d}};
-  faults::FaultSchedule schedule;
-  schedule.add({.kind = faults::FaultKind::kChillerFailure,
-                .start = Duration::minutes(1),
-                .end = Duration::minutes(2),
-                .magnitude = 0.5});
-  power::DieselGenerator generator("gen", {.rated = Power::megawatts(1.0)});
+TEST(Zonal, RunOptionsWorkOnZonedRuns) {
+  // Both zones sprint from minute 5; every option a uniform run takes works
+  // on a zoned one, and the facility stays safe under each.
+  workload::YahooTraceParams hot_p, warm_p;
+  hot_p.burst_degree = 3.2;
+  hot_p.burst_duration = Duration::minutes(10);
+  warm_p.burst_degree = 2.0;
+  warm_p.burst_duration = Duration::minutes(10);
+  warm_p.seed = 0x1234;
+  const TimeSeries hot = workload::generate_yahoo_trace(hot_p);
+  const TimeSeries warm = workload::generate_yahoo_trace(warm_p);
+  const std::vector<ZoneSpec> zones = {{2, &hot}, {2, &warm}};
+
+  faults::FaultSchedule chiller;
+  chiller.add({.kind = faults::FaultKind::kChillerFailure,
+               .start = Duration::minutes(6),
+               .end = Duration::minutes(12),
+               .magnitude = 0.5});
+  // The feed sags to 85 % from minute 7 to minute 9, mid-sprint.
+  const Duration sag = Duration::minutes(7);
+  TimeSeries supply;
+  supply.push_back(Duration::zero(), 1.0);
+  supply.push_back(sag, 0.85);
+  supply.push_back(Duration::minutes(9), 1.0);
+  supply.push_back(hot.end_time(), 1.0);
+  power::DieselGenerator generator("gen", {.rated = Power::megawatts(0.05)});
   obs::MetricsRegistry metrics;
-  struct Idle final : sim::Component {
-    void tick(Duration, Duration) override {}
+  struct Counting final : sim::Component {
+    std::size_t ticks = 0;
+    void tick(Duration, Duration) override { ++ticks; }
     [[nodiscard]] std::string_view name() const noexcept override {
-      return "idle";
+      return "counting";
     }
-  } idle;
+  } counting;
+  std::size_t hooked = 0;
+
   const std::vector<std::function<void(RunOptions&)>> setters = {
-      [](RunOptions& o) { o.mode = Mode::kUncontrolled; },
-      [](RunOptions& o) { o.mode = Mode::kNoSprint; },
-      [&](RunOptions& o) { o.faults = &schedule; },
-      [&](RunOptions& o) { o.supply_fraction = &d; },
-      [&](RunOptions& o) { o.generator = &generator; },
-      [&](RunOptions& o) { o.components.push_back(&idle); },
-      [](RunOptions& o) {
-        o.on_step = [](Duration, Duration, const StepResult&) {};
+      [&](RunOptions& o) { o.faults = &chiller; },
+      [&](RunOptions& o) {
+        o.supply_fraction = &supply;
+        o.generator = &generator;
+      },
+      [&](RunOptions& o) {
+        o.components.push_back(&counting);
+        o.on_step = [&](Duration, Duration, const StepResult&) { ++hooked; };
       },
       [&](RunOptions& o) { o.metrics = &metrics; },
   };
+  const std::size_t ticks = static_cast<std::size_t>(hot.end_time().sec());
   for (std::size_t i = 0; i < setters.size(); ++i) {
     RunOptions options;
+    options.record = true;
     setters[i](options);
+    const RunResult r = run_zones(small_config(4), zones, options);
+    EXPECT_FALSE(r.tripped) << "option " << i;
+    EXPECT_TRUE(r.watchdog.ok()) << "option " << i << ": "
+                                 << r.watchdog.first_message;
+    ASSERT_EQ(r.zone_performance_factor.size(), 2u);
+    EXPECT_GT(r.zone_performance_factor[0], 1.0) << "option " << i;
+    if (options.faults != nullptr) {
+      // The chiller failure reaches the controller's degradation ladder.
+      EXPECT_GE(r.max_degradation, DegradationLevel::kDerated);
+    }
+    if (options.supply_fraction != nullptr) {
+      // Both zones sprint up to the sag; the sag's own period ends both.
+      const std::size_t at = static_cast<std::size_t>(sag.sec());
+      for (const char* zone : {"zone0/degree", "zone1/degree"}) {
+        const TimeSeries& degree = r.recorder.series(zone);
+        EXPECT_GT(degree[at - 1].value, 1.0) << zone;
+        EXPECT_DOUBLE_EQ(degree[at].value, 1.0) << zone;
+      }
+    }
+  }
+  EXPECT_EQ(counting.ticks, ticks);
+  EXPECT_EQ(hooked, ticks);
+  EXPECT_EQ(metrics.counter("ticks_total").value(), static_cast<double>(ticks));
+
+  // The one rejection: more than one zone needs Mode::kControlled.
+  for (const Mode mode : {Mode::kUncontrolled, Mode::kNoSprint,
+                          Mode::kPowerCapped, Mode::kDvfsCapped}) {
+    RunOptions options;
+    options.mode = mode;
     EXPECT_THROW((void)run_zones(small_config(4), zones, options),
                  std::invalid_argument)
-        << "option " << i;
+        << to_string(mode);
   }
-  // The supported ones run.
-  RunOptions options;
-  options.record = true;
-  options.span_skip = false;
-  EXPECT_TRUE(run_zones(small_config(4), zones, options).watchdog.ok());
 }
 
 TEST(Zonal, QuietZonesServeTheirDemandExactly) {
@@ -147,23 +201,67 @@ TEST(Zonal, NeverTripsUnderSkewedOverload) {
   EXPECT_GT(r.zone_performance_factor[1], 1.0);
 }
 
-TEST(Zonal, SingleZoneMatchesUniformControllerClosely) {
-  // One zone spanning the whole fleet is the uniform problem; the zonal
-  // law (which lacks the exhaustion-termination heuristics) should land in
-  // the same neighbourhood as the uniform Greedy run.
+TEST(Zonal, SingleZoneIsTheUniformRun) {
+  // One zone spanning the whole fleet is the uniform run, bit for bit: its
+  // capacity weight is exactly 1, and it records no per-zone channels.
   workload::YahooTraceParams p;
   p.burst_degree = 2.6;
   p.burst_duration = Duration::minutes(5);
   const TimeSeries trace = workload::generate_yahoo_trace(p);
-  const DataCenterConfig config = small_config(4);
-
-  DataCenter dc(config);
-  const RunResult zonal = dc.run(std::vector<ZoneSpec>{{4, &trace}});
+  DataCenter dc(small_config(4));
+  RunOptions options;
+  options.record = true;
   GreedyStrategy greedy;
-  const RunResult uniform = dc.run(trace, &greedy);
+  const RunResult zoned = dc.run({{4, &trace}}, &greedy, options);
+  const RunResult uniform = dc.run(trace, &greedy, options);
 
-  EXPECT_TRUE(zonal.watchdog.ok()) << zonal.watchdog.first_message;
-  EXPECT_NEAR(zonal.performance_factor, uniform.performance_factor, 0.06);
+  EXPECT_TRUE(zoned.zone_performance_factor.empty());
+  EXPECT_FALSE(zoned.recorder.has("zone0/degree"));
+  const auto channels = uniform.recorder.channels();
+  ASSERT_EQ(zoned.recorder.channels(), channels);
+  for (const std::string& name : channels) {
+    const TimeSeries& a = zoned.recorder.series(name);
+    const TimeSeries& b = uniform.recorder.series(name);
+    ASSERT_EQ(a.size(), b.size()) << name;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(bits(a[i].time.sec()), bits(b[i].time.sec())) << name << i;
+      ASSERT_EQ(bits(a[i].value), bits(b[i].value)) << name << " " << i;
+    }
+  }
+  const std::vector<std::pair<double, double>> fields = {
+      {zoned.avg_achieved, uniform.avg_achieved},
+      {zoned.avg_achieved_nosprint, uniform.avg_achieved_nosprint},
+      {zoned.performance_factor, uniform.performance_factor},
+      {zoned.drop_fraction, uniform.drop_fraction},
+      {zoned.avg_sprint_degree, uniform.avg_sprint_degree},
+      {zoned.sprint_time.sec(), uniform.sprint_time.sec()},
+      {zoned.trip_time.sec(), uniform.trip_time.sec()},
+      {zoned.ups_energy.j(), uniform.ups_energy.j()},
+      {zoned.tes_saved_energy.j(), uniform.tes_saved_energy.j()},
+      {zoned.pdu_overload_energy.j(), uniform.pdu_overload_energy.j()},
+      {zoned.dc_overload_energy.j(), uniform.dc_overload_energy.j()},
+      {zoned.peak_room_temperature.c(), uniform.peak_room_temperature.c()},
+      {zoned.min_ups_soc, uniform.min_ups_soc},
+      {zoned.min_tes_soc, uniform.min_tes_soc},
+      {zoned.ups_equivalent_cycles, uniform.ups_equivalent_cycles},
+      {zoned.ups_max_depth, uniform.ups_max_depth},
+  };
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(bits(fields[i].first), bits(fields[i].second)) << "field " << i;
+  }
+  for (std::size_t i = 0; i < zoned.phase_time.size(); ++i) {
+    EXPECT_EQ(bits(zoned.phase_time[i].sec()), bits(uniform.phase_time[i].sec()));
+    EXPECT_EQ(bits(zoned.degradation_time[i].sec()),
+              bits(uniform.degradation_time[i].sec()));
+  }
+  EXPECT_EQ(zoned.tripped, uniform.tripped);
+  EXPECT_EQ(zoned.max_degradation, uniform.max_degradation);
+  EXPECT_EQ(zoned.ups_discharge_events, uniform.ups_discharge_events);
+  EXPECT_EQ(zoned.watchdog.checks, uniform.watchdog.checks);
+  EXPECT_EQ(zoned.watchdog.violations, uniform.watchdog.violations);
+  EXPECT_EQ(zoned.engine_leaps, uniform.engine_leaps);
+  EXPECT_EQ(zoned.engine_leaped_ticks, uniform.engine_leaped_ticks);
+  EXPECT_GT(uniform.performance_factor, 1.0);
 }
 
 TEST(Zonal, ConcentratedBurstBeatsUniformSpread) {
@@ -191,16 +289,46 @@ TEST(Zonal, ConcentratedBurstBeatsUniformSpread) {
 // Parameterized safety sweep: any split of the fleet into two zones, any
 // pair of burst magnitudes, any headroom — never trips, never starves a
 // zone below its own demand-or-capacity baseline.
-using ZonalParams = std::tuple<std::size_t /*zone A pdus of 4*/,
-                               double /*degree A*/, double /*degree B*/,
-                               double /*headroom*/>;
+struct ZonalPoint {
+  std::size_t a_pdus;  ///< zone A's PDUs of 4
+  double deg_a;
+  double deg_b;
+  double headroom;
+  bool has_tes;
+};
 
-class ZonalSafety : public ::testing::TestWithParam<ZonalParams> {};
+/// Names a point "(a_pdus, deg_a, deg_b, headroom)", with ", no TES"
+/// appended for the points without a TES.
+void PrintTo(const ZonalPoint& p, std::ostream* os) {
+  std::string name = ::testing::PrintToString(
+      std::make_tuple(p.a_pdus, p.deg_a, p.deg_b, p.headroom));
+  if (!p.has_tes) name.insert(name.size() - 1, ", no TES");
+  *os << name;
+}
+
+std::vector<ZonalPoint> zonal_grid() {
+  std::vector<ZonalPoint> grid;
+  for (const std::size_t a_pdus : {1, 2, 3}) {
+    for (const double deg_a : {1.5, 3.0, 4.0}) {
+      for (const double deg_b : {1.2, 2.6}) {
+        for (const double headroom : {0.0, 0.10}) {
+          for (const bool has_tes : {true, false}) {
+            grid.push_back({a_pdus, deg_a, deg_b, headroom, has_tes});
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+class ZonalSafety : public ::testing::TestWithParam<ZonalPoint> {};
 
 TEST_P(ZonalSafety, NeverTripsNeverStarves) {
-  const auto [a_pdus, deg_a, deg_b, headroom] = GetParam();
+  const auto [a_pdus, deg_a, deg_b, headroom, has_tes] = GetParam();
   DataCenterConfig config = small_config(4);
   config.dc_headroom = headroom;
+  config.has_tes = has_tes;
   workload::YahooTraceParams pa, pb;
   pa.burst_degree = deg_a;
   pa.burst_duration = Duration::minutes(10);
@@ -218,13 +346,7 @@ TEST_P(ZonalSafety, NeverTripsNeverStarves) {
   EXPECT_GE(r.performance_factor, 1.0 - 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ZonalSafety,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{3}),
-                       ::testing::Values(1.5, 3.0, 4.0),
-                       ::testing::Values(1.2, 2.6),
-                       ::testing::Values(0.0, 0.10)));
+INSTANTIATE_TEST_SUITE_P(Sweep, ZonalSafety, ::testing::ValuesIn(zonal_grid()));
 
 TEST(Zonal, StepExposesPerZoneState) {
   workload::YahooTraceParams p;
